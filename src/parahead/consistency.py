@@ -1,14 +1,15 @@
 """Duplicate-name detection and shared-object metadata comparison.
 
 Two interchangeable detectors are provided.  ``hash_check`` inserts every
-record into a fixed-size chained hash table and compares the key string
-against each slot occupant, the scheme in-library lookups use; with n
-records and k slots it performs about n*n/2k string comparisons
-(``model_hash_cost``).  ``sort_check`` instead orders the whole record list
-once and groups equal keys from adjacent runs.  It sorts by a 64-bit key
-digest, falling back to the key string only on digest ties, so the string
-comparisons it must count stay proportional to the duplicates actually
-present rather than to n log n.
+record into a k-slot chained hash table and compares the key string against
+each slot occupant, the scheme in-library lookups use; with n records and k
+slots it performs about n*n/2k string comparisons (``model_hash_cost``).
+Only slots that are hit are ever made, so a call costs O(n) whatever k is;
+the comparisons, and hence the cost model, are those of the full table.
+``sort_check`` instead orders the whole record list once and groups equal
+keys from adjacent runs.  It sorts by a 64-bit key digest, falling back to
+the key string only on digest ties, so the string comparisons it must count
+stay proportional to the duplicates actually present rather than to n log n.
 
 Digest equality is never trusted for a positive result: payload equality is
 always confirmed on the serialized bytes.  Digest inequality, which does
@@ -24,7 +25,7 @@ from __future__ import annotations
 import zlib
 from dataclasses import dataclass
 
-from .records import decode_record, digest64
+from .records import decode_record, digest64, record_name
 
 __all__ = [
     "NameRecord",
@@ -86,25 +87,8 @@ def make_name_records(rank_record_lists) -> list[NameRecord]:
     out = []
     for rank, records in enumerate(rank_record_lists):
         for rec in records:
-            _, full_name, _ = _cheap_name(rec)
-            out.append(NameRecord(full_name, rank, digest64(rec), rec))
+            out.append(NameRecord(record_name(rec)[1], rank, digest64(rec), rec))
     return out
-
-
-def _cheap_name(rec: bytes):
-    # record layout: kind byte, u32 name length, name bytes
-    n = int.from_bytes(rec[1:5], "big")
-    return rec[0], rec[5 : 5 + n].decode("utf-8"), None
-
-
-def _fmix32(h: int) -> int:
-    # murmur3 finalizer: full avalanche so structured names spread evenly
-    h ^= h >> 16
-    h = (h * 0x85EBCA6B) & 0xFFFFFFFF
-    h ^= h >> 13
-    h = (h * 0xC2B2AE35) & 0xFFFFFFFF
-    h ^= h >> 16
-    return h
 
 
 def hash_slot(key: bytes, k: int) -> int:
@@ -114,7 +98,14 @@ def hash_slot(key: bytes, k: int) -> int:
     systematic patterns on power-of-two table sizes; the finalizer breaks
     that structure (dispersion is validated against the uniform model).
     """
-    return _fmix32(zlib.crc32(key)) % k
+    # murmur3 finalizer, inlined (one call per inserted record)
+    h = zlib.crc32(key)
+    h ^= h >> 16
+    h = (h * 0x85EBCA6B) & 0xFFFFFFFF
+    h ^= h >> 13
+    h = (h * 0xC2B2AE35) & 0xFFFFFFFF
+    h ^= h >> 16
+    return h % k
 
 
 def hash_check(records, k: int) -> CheckReport:
@@ -122,61 +113,71 @@ def hash_check(records, k: int) -> CheckReport:
 
     Each insertion compares the record's key against the slot's occupants in
     arrival order until a match is found; every such comparison is counted.
+    A slot's chain is made on its first hit, so empty slots cost nothing,
+    and a name seen once never gets a group of its own.
     """
     if k < 1:
         raise ValueError("hash table needs at least one slot")
-    table: list[list[int]] = [[] for _ in range(k)]
-    groups: list[list[NameRecord]] = []
+    table: dict[int, list[int]] = {}
     group_keys: list[bytes] = []
+    firsts: list[NameRecord] = []
+    repeats: dict[int, list[NameRecord]] = {}  # later members of groups of two or more
     string_comparisons = 0
     for rec in records:
         key = rec.key
-        chain = table[hash_slot(key, k)]
+        slot = hash_slot(key, k)
+        chain = table.get(slot)
+        if chain is None:
+            chain = table[slot] = []
         for gi in chain:
             string_comparisons += 1
             if group_keys[gi] == key:
-                groups[gi].append(rec)
+                repeats.setdefault(gi, []).append(rec)
                 break
         else:
-            chain.append(len(groups))
+            chain.append(len(group_keys))
             group_keys.append(key)
-            groups.append([rec])
+            firsts.append(rec)
+    groups = [[firsts[gi], *repeats[gi]] for gi in sorted(repeats)]
     shared, conflicts, payload_comparisons = _resolve_groups(groups)
     return CheckReport(shared, conflicts, string_comparisons, payload_comparisons)
 
 
 def sort_check(records) -> CheckReport:
-    """Order records once, then group equal keys from adjacent digest runs."""
+    """Order records once, then group equal keys from adjacent digest runs.
+
+    Only runs of two or more equal digests are walked: a record alone in its
+    run has no duplicate, and groups of one are never shared or conflicting.
+    """
     items = list(records)
     digests = [zlib.crc32(rec.key) for rec in items]
     order = sorted(range(len(items)), key=digests.__getitem__)
+    ordered = [digests[i] for i in order]
+    n = len(order)
     string_comparisons = 0
     groups: list[list[NameRecord]] = []
-    i = 0
-    n = len(order)
-    while i < n:
-        j = i + 1
-        while j < n and digests[order[j]] == digests[order[i]]:
-            j += 1
-        if j == i + 1:
-            groups.append([items[order[i]]])
-        else:
-            # digest tie: confirm key equality by string comparison
-            run_groups: list[list[NameRecord]] = []
-            run_keys: list[bytes] = []
-            for idx in order[i:j]:
-                rec = items[idx]
-                key = rec.key
-                for gi, existing in enumerate(run_keys):
-                    string_comparisons += 1
-                    if existing == key:
-                        run_groups[gi].append(rec)
-                        break
-                else:
-                    run_keys.append(key)
-                    run_groups.append([rec])
-            groups.extend(run_groups)
-        i = j
+    run_end = 0
+    for i in [i for i in range(1, n) if ordered[i] == ordered[i - 1]]:
+        if i < run_end:
+            continue  # inside a run already walked
+        run_end = i + 1
+        while run_end < n and ordered[run_end] == ordered[i]:
+            run_end += 1
+        # digest tie: confirm key equality by string comparison
+        run_groups: list[list[NameRecord]] = []
+        run_keys: list[bytes] = []
+        for idx in order[i - 1 : run_end]:
+            rec = items[idx]
+            key = rec.key
+            for gi, existing in enumerate(run_keys):
+                string_comparisons += 1
+                if existing == key:
+                    run_groups[gi].append(rec)
+                    break
+            else:
+                run_keys.append(key)
+                run_groups.append([rec])
+        groups.extend(run_groups)
     shared, conflicts, payload_comparisons = _resolve_groups(groups)
     return CheckReport(shared, conflicts, string_comparisons, payload_comparisons)
 

@@ -26,6 +26,7 @@ from .errors import (
     CorruptHeader,
     DuplicateName,
     OverlappingBlocks,
+    ParaheadError,
     Truncated,
     UnrepresentableValue,
     UnsortedIndex,
@@ -106,6 +107,24 @@ def _path_record_size(path: str) -> int:
     return 8 + len(path) + _pad4(len(path))
 
 
+def _read_path(buf: bytes, pos: int, what: str) -> tuple[str, int]:
+    """Decode a path record at ``pos``; returns (path, end of the record)."""
+    if len(buf) < pos + 8:
+        raise Truncated(f"{what} path length missing")
+    (path_len,) = struct.unpack_from(">Q", buf, pos)
+    pos += 8
+    padded = path_len + _pad4(path_len)
+    if len(buf) < pos + padded:
+        raise Truncated(f"{what} path cut short")
+    if buf[pos + path_len : pos + padded].strip(b"\x00"):
+        raise CorruptHeader("non-zero block path padding")
+    try:
+        path = buf[pos : pos + path_len].decode("ascii")
+    except UnicodeDecodeError as exc:
+        raise CorruptHeader(f"non-ASCII {what} path at offset {pos}") from exc
+    return path, pos + padded
+
+
 def index_table_encoded_size(paths) -> int:
     return len(INDEX_MAGIC) + 16 + sum(_path_record_size(p) + _ENTRY_FIXED for p in paths)
 
@@ -164,21 +183,12 @@ def decode_index_table_prefix(buf: bytes) -> tuple[IndexTable, int]:
     pos += 16
     entries = []
     for _ in range(count):
-        if len(buf) < pos + 8:
-            raise Truncated("index entry path length missing")
-        (path_len,) = struct.unpack_from(">Q", buf, pos)
-        pos += 8
-        padded = path_len + _pad4(path_len)
-        if len(buf) < pos + padded + _ENTRY_FIXED:
+        path, pos = _read_path(buf, pos, "index entry")
+        if len(buf) < pos + _ENTRY_FIXED:
             raise Truncated("index entry cut short")
-        raw = buf[pos : pos + path_len]
-        pad = buf[pos + path_len : pos + padded]
-        if pad.strip(b"\x00"):
-            raise CorruptHeader("non-zero block path padding")
-        pos += padded
         fields = struct.unpack_from(">QQQQQ", buf, pos)
         pos += _ENTRY_FIXED
-        entries.append(IndexEntry(raw.decode("ascii"), *fields))
+        entries.append(IndexEntry(path, *fields))
     table = IndexTable(tuple(entries), header_reserve)
     _check_table(table)
     return table, pos
@@ -205,19 +215,9 @@ def encode_block(block: MetadataBlock) -> bytes:
 
 
 def decode_block(buf: bytes) -> MetadataBlock:
-    if len(buf) < 8:
-        raise Truncated("block path length missing")
-    (path_len,) = struct.unpack_from(">Q", buf, 0)
-    padded = path_len + _pad4(path_len)
-    if len(buf) < 8 + padded:
-        raise Truncated("block path cut short")
-    raw = buf[8 : 8 + path_len]
-    pad = buf[8 + path_len : 8 + padded]
-    if pad.strip(b"\x00"):
-        raise CorruptHeader("non-zero block path padding")
-    path = raw.decode("ascii")
+    path, pos = _read_path(buf, 0, "block")
     validate_block_path(path)
-    content, _ = decode_header_lists(buf, _BLOCK_VERSION, 8 + padded)
+    content, _ = decode_header_lists(buf, _BLOCK_VERSION, pos)
     return MetadataBlock(path, content)
 
 
@@ -290,7 +290,7 @@ def decode_image(buf: bytes) -> tuple[IndexTable, dict[str, MetadataBlock]]:
             raise Truncated(f"block {entry.block_path!r} extends past the image")
         try:
             block = decode_block(buf[entry.offset : entry.offset + entry.size])
-        except Exception as exc:
+        except ParaheadError as exc:
             raise type(exc)(f"block {entry.block_path!r}: {exc}") from exc
         if block.block_path != entry.block_path:
             raise CorruptHeader(

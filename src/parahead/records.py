@@ -136,8 +136,10 @@ def decode_record(buf: bytes) -> tuple[ObjectKind, str, Payload]:
     return kind, full_name, VarPayload(type_tag, dim_names, tuple(atts))
 
 
-def record_kind(record: bytes) -> ObjectKind:
-    return ObjectKind(record[0])
+def record_name(rec: bytes) -> tuple[int, str]:
+    """Kind byte and full name of a record, read without decoding its payload."""
+    n = int.from_bytes(rec[1:5], "big")
+    return rec[0], rec[5 : 5 + n].decode("utf-8")
 
 
 def pack_stream(records: list[bytes]) -> bytes:

@@ -43,12 +43,15 @@ from .consistency import (
     sort_check,
 )
 from .errors import (
+    BadMagic,
     ConsistencyError,
     DanglingDimRef,
     NoSuchObject,
+    ParaheadError,
     Truncated,
 )
 from .newformat import (
+    INDEX_MAGIC,
     BlockStats,
     IndexTable,
     MetadataBlock,
@@ -69,9 +72,10 @@ from .records import (
     digest64,
     encode_record,
     pack_stream,
+    record_name,
     unpack_stream,
 )
-from .store import RankStore, gids_from_order
+from .store import PendingObject, RankStore, gids_from_order
 from .workload import Workload
 
 DEFAULT_HASH_SIZE = 16_384
@@ -232,44 +236,46 @@ def merge_records(rank_record_lists) -> list[bytes]:
     merged = []
     for records in rank_record_lists:
         for rec in records:
-            kind, name, _ = _record_key(rec)
-            if (kind, name) in seen:
+            key = record_name(rec)
+            if key in seen:
                 continue
-            seen.add((kind, name))
+            seen.add(key)
             merged.append(rec)
     return merged
-
-
-def _record_key(rec: bytes):
-    n = int.from_bytes(rec[1:5], "big")
-    return rec[0], rec[5 : 5 + n].decode("utf-8"), None
 
 
 def global_order_from_records(records) -> dict[ObjectKind, list[str]]:
     order: dict[ObjectKind, list[str]] = {k: [] for k in ObjectKind}
     for rec in records:
-        kind, name, _ = _record_key(rec)
+        kind, name = record_name(rec)
         order[ObjectKind(kind)].append(name)
     return order
 
 
 def build_classic_header(merged_records) -> Header:
-    """Materialize a header from deduplicated records, resolving dim names to ids."""
+    """Materialize a header from deduplicated records, resolving dim names to ids.
+
+    Each record is decoded once: dimensions and attributes in the first pass,
+    variables (which need every dimension id) in the second.  The kind byte
+    picks the pass, so no decoded payload outlives its pass.
+    """
     dims = []
     gatts = []
     vars_ = []
     dim_ids: dict[str, int] = {}
     for rec in merged_records:
+        if rec[0] == ObjectKind.VARIABLE:
+            continue
         kind, full_name, payload = decode_record(rec)
         if kind is ObjectKind.DIMENSION:
             dim_ids[full_name] = len(dims)
             dims.append(DimensionDef(full_name, payload.length))
-        elif kind is ObjectKind.ATTRIBUTE:
+        else:
             gatts.append(AttributeDef(full_name, payload.type_tag, payload.values))
     for rec in merged_records:
-        kind, full_name, payload = decode_record(rec)
-        if kind is not ObjectKind.VARIABLE:
+        if rec[0] != ObjectKind.VARIABLE:
             continue
+        _, full_name, payload = decode_record(rec)
         try:
             refs = tuple(dim_ids[d] for d in payload.dim_names)
         except KeyError as exc:
@@ -411,22 +417,21 @@ class _ProtoEntry:
     digest: int
 
 
-def _block_content(records) -> Header:
-    """Block-local header from the block's records (names stripped of the path)."""
+def _block_content(defs) -> Header:
+    """Block-local header from the block's (kind, full name, payload) triples,
+    with names stripped of the path."""
     dims = []
     gatts = []
     vars_ = []
     dim_ids: dict[str, int] = {}
-    for rec in records:
-        kind, full_name, payload = decode_record(rec)
+    for kind, full_name, payload in defs:
         _, local = split_full_name(full_name)
         if kind is ObjectKind.DIMENSION:
             dim_ids[full_name] = len(dims)
             dims.append(DimensionDef(local, payload.length))
         elif kind is ObjectKind.ATTRIBUTE:
             gatts.append(AttributeDef(local, payload.type_tag, payload.values))
-    for rec in records:
-        kind, full_name, payload = decode_record(rec)
+    for kind, full_name, payload in defs:
         if kind is not ObjectKind.VARIABLE:
             continue
         _, local = split_full_name(full_name)
@@ -439,6 +444,11 @@ def _block_content(records) -> Header:
             ) from exc
         vars_.append(VariableDef(local, refs, payload.type_tag, payload.attributes))
     return Header(tuple(dims), tuple(gatts), tuple(vars_))
+
+
+def _defs(objs) -> list[tuple]:
+    """(kind, full name, payload) triples of a rank's own objects, no decoding."""
+    return [(o.kind, o.full_name, o.payload) for o in objs]
 
 
 def _pad4(n: int) -> int:
@@ -458,8 +468,9 @@ def _att_entry_size(att: AttributeDef) -> int:
     return _name_rec_size(att.name) + 4 + 8 + raw + _pad4(raw)
 
 
-def _block_facts(path: str, records) -> _ProtoEntry:
-    """Size and count facts for a block computed straight from its records.
+def _block_facts(path: str, defs, digest: int) -> _ProtoEntry:
+    """Size and count facts for a block from its (kind, full name, payload)
+    triples; ``digest`` is the digest of the block's concatenated records.
 
     Works on partial contributions too: a rank sharing a block may reference
     dimensions another rank contributes, so nothing is resolved here.  Data
@@ -470,8 +481,7 @@ def _block_facts(path: str, records) -> _ProtoEntry:
     enc = _name_rec_size(path) + 3 * (4 + 8)  # path record + three list headers
     dim_lengths: dict[str, int] = {}
     pending: list[VarPayload] = []
-    for rec in records:
-        kind, full_name, payload = decode_record(rec)
+    for kind, full_name, payload in defs:
         counts[kind] += 1
         local = split_full_name(full_name)[1]
         if kind is ObjectKind.DIMENSION:
@@ -491,7 +501,6 @@ def _block_facts(path: str, records) -> _ProtoEntry:
         except KeyError:
             continue
         data += var_size_bytes(lengths, payload.type_tag)
-    digest = digest64(b"".join(records))
     return _ProtoEntry(
         path,
         counts[ObjectKind.DIMENSION],
@@ -552,14 +561,17 @@ def run_new_format(
             for d in workload.per_rank[rank]:
                 store.define(d.kind, d.full_name, d.payload)
             ctx.meter.acquire(store.serialized_bytes())
-            own_blocks: dict[str, list] = {}
+            own_blocks: dict[str, list[PendingObject]] = {}
             for obj in store.objects:
                 path, _ = split_full_name(obj.full_name)
-                own_blocks.setdefault(path, []).append(obj.record)
+                own_blocks.setdefault(path, []).append(obj)
 
         with ctx.phase("exchange"):
             proto = _pack_proto(
-                [_block_facts(p, recs) for p, recs in own_blocks.items()]
+                [
+                    _block_facts(p, _defs(objs), digest64(b"".join(o.record for o in objs)))
+                    for p, objs in own_blocks.items()
+                ]
             )
             gathered_proto = comm.allgatherv(rank, proto)
             ctx.meter.acquire(sum(len(g) for g in gathered_proto))
@@ -586,10 +598,10 @@ def run_new_format(
             shared_paths = {g[0].full_name for g in block_report.shared_sets}
 
             shared_own = [
-                rec
+                obj.record
                 for path in sorted(own_blocks)
                 if path in shared_paths
-                for rec in own_blocks[path]
+                for obj in own_blocks[path]
             ]
             gathered_shared = comm.allgatherv(rank, pack_stream(shared_own))
             ctx.meter.acquire(sum(len(g) for g in gathered_shared))
@@ -600,7 +612,7 @@ def run_new_format(
                 raise ConsistencyError(shared_report.conflicts)
             merged_shared: dict[str, list[bytes]] = {p: [] for p in shared_paths}
             for rec in merge_records(shared_lists):
-                path, _ = split_full_name(_record_key(rec)[1])
+                path, _ = split_full_name(record_name(rec)[1])
                 merged_shared[path].append(rec)
 
         with ctx.phase("header_write"):
@@ -609,12 +621,14 @@ def run_new_format(
             facts: dict[str, _ProtoEntry] = {}
             for path in sorted(claims):
                 if path in shared_paths:
-                    facts[path] = _block_facts(path, merged_shared[path])
-                    contents[path] = _block_content(merged_shared[path])
+                    recs = merged_shared[path]
+                    defs = [decode_record(rec) for rec in recs]
+                    facts[path] = _block_facts(path, defs, digest64(b"".join(recs)))
+                    contents[path] = _block_content(defs)
                 else:
                     facts[path] = proto_by_path[path]
                     if path in own_blocks:
-                        contents[path] = _block_content(own_blocks[path])
+                        contents[path] = _block_content(_defs(own_blocks[path]))
             table = layout_from_stats(
                 [
                     BlockStats(p, facts[p].enc_size, facts[p].n_dims,
@@ -753,9 +767,12 @@ class HeaderHandle:
         self._gid_base = self._compute_gid_bases()
 
     def _read_index(self) -> IndexTable:
-        head = self._take(0, 20)  # magic + entry count + header_reserve
+        magic = self._take(0, len(INDEX_MAGIC))
+        if magic != INDEX_MAGIC:
+            raise BadMagic(f"not an index table: {magic!r}")
+        head = self._take(4, 16)  # entry count + header_reserve
         pos = 20
-        count = struct.unpack(">Q", head[4:12])[0]
+        count = struct.unpack(">Q", head[:8])[0]
         for _ in range(count):
             (path_len,) = struct.unpack(">Q", self._take(pos, 8))
             pos += 8
@@ -799,7 +816,7 @@ class HeaderHandle:
         raw = self._take(entry.offset, entry.size)
         try:
             block = decode_block(raw)
-        except Exception as exc:
+        except ParaheadError as exc:
             raise type(exc)(f"block {path!r}: {exc}") from exc
         content = block.content
         if (

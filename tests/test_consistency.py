@@ -6,10 +6,14 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from parahead.classic import TypeTag
 from parahead.consistency import (
+    CheckReport,
     NameRecord,
+    _resolve_groups,
     compare_shared,
     hash_check,
     hash_slot,
@@ -162,6 +166,54 @@ def test_detectors_match_brute_force_exhaustively():
             assert as_sets(sort_check(records)) == expected
             checked += 1
     assert checked == 462
+
+
+def dense_hash_check(records, k: int) -> CheckReport:
+    """Reference detector: the same chained table with all k slots made up front."""
+    table = [[] for _ in range(k)]
+    groups: list = []
+    group_keys: list = []
+    string_comparisons = 0
+    for r in records:
+        chain = table[hash_slot(r.key, k)]
+        for gi in chain:
+            string_comparisons += 1
+            if group_keys[gi] == r.key:
+                groups[gi].append(r)
+                break
+        else:
+            chain.append(len(groups))
+            group_keys.append(r.key)
+            groups.append([r])
+    shared, conflicts, payload_comparisons = _resolve_groups(groups)
+    return CheckReport(shared, conflicts, string_comparisons, payload_comparisons)
+
+
+record_lists = st.lists(
+    st.builds(
+        rec,
+        st.text("abcde", min_size=1, max_size=3),
+        st.integers(0, 3),
+        st.builds(DimPayload, st.integers(1, 2)),
+    ),
+    max_size=60,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(records=record_lists, k=st.integers(1, 16))
+def test_sparse_table_matches_dense_reference(records, k):
+    assert hash_check(records, k) == dense_hash_check(records, k)
+
+
+def test_sparse_table_matches_dense_reference_at_1g_table_size():
+    k = 1_048_576
+    rand = random.Random(11)
+    records = [
+        rec(f"v{rand.randrange(400)}", rand.randrange(4), DimPayload(rand.randint(1, 2)))
+        for _ in range(1000)
+    ]
+    assert hash_check(records, k) == dense_hash_check(records, k)
 
 
 def test_hash_cost_model_tracks_measured(rng):

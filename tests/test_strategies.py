@@ -8,10 +8,18 @@ import pytest
 
 from parahead.classic import decode_classic
 from parahead.errors import (
+    BadMagic,
     ConsistencyError,
     NoSuchObject,
+    ParaheadError,
 )
-from parahead.newformat import MetadataBlock, assemble_image, index_table_encoded_size
+from parahead.newformat import (
+    MetadataBlock,
+    assemble_image,
+    decode_image,
+    index_table_encoded_size,
+    split_full_name,
+)
 from parahead.records import ObjectKind, encode_record
 from parahead.strategies import (
     logical_map_from_classic,
@@ -323,6 +331,30 @@ def test_corrupted_block_error_names_the_block():
     assert entry.block_path in str(err.value)
 
 
+def test_bad_magic_rejected_before_the_index_is_walked():
+    image = run_new_format(gen_workload(small_spec(seed=31)), 64).image.to_bytes()
+    with pytest.raises(BadMagic):
+        open_new_format(b"XXXX" + b"\xff" * 8 + image[12:])
+
+
+def test_mutated_images_raise_only_parahead_errors():
+    workload = gen_workload(small_spec(shared_fraction=0.25, seed=17))
+    image = run_new_format(workload, 64).image.to_bytes()
+    rand = random.Random(7)
+    for _ in range(400):
+        buf = bytearray(image)
+        if rand.random() < 0.2:
+            del buf[rand.randrange(len(buf)) :]
+        else:
+            for _ in range(rand.randint(1, 4)):
+                buf[rand.randrange(len(buf))] = rand.randrange(256)
+        for read in (lambda b: read_full_header(open_new_format(b)[0]), decode_image):
+            try:
+                read(bytes(buf))
+            except ParaheadError:
+                pass
+
+
 def test_unknown_object_inquiry():
     blocks = build_many_blocks(4)
     handle = open_new_format(assemble_image(blocks))[0]
@@ -362,13 +394,64 @@ def test_block_size_arithmetic_matches_encoder():
         blocks: dict = {}
         for d in defs:
             path = split_full_name(d.full_name)[0]
-            blocks.setdefault(path, []).append(
-                encode_record(d.kind, d.full_name, d.payload)
-            )
-        for path, recs in blocks.items():
-            facts = _block_facts(path, recs)
-            real = block_encoded_size(MetadataBlock(path, _block_content(recs)))
+            blocks.setdefault(path, []).append((d.kind, d.full_name, d.payload))
+        for path, block_defs in blocks.items():
+            facts = _block_facts(path, block_defs, 0)
+            real = block_encoded_size(MetadataBlock(path, _block_content(block_defs)))
             assert facts.enc_size == real
+
+
+def _decodes_per_rank(monkeypatch, workload, run=run_new_format) -> dict:
+    """Records each rank thread passes to the strategies' decode_record."""
+    import threading
+
+    from parahead import strategies
+
+    calls: dict = {}
+    original = strategies.decode_record
+
+    def counting(rec):
+        calls.setdefault(threading.current_thread().name, []).append(rec)
+        return original(rec)
+
+    monkeypatch.setattr(strategies, "decode_record", counting)
+    run(workload, 64)
+    return calls
+
+
+def test_new_format_decodes_no_own_record(monkeypatch):
+    assert _decodes_per_rank(monkeypatch, gen_workload(small_spec())) == {}
+
+
+def test_new_format_decodes_each_merged_shared_record_once(monkeypatch):
+    workload = gen_workload(small_spec(shared_fraction=0.5, seed=21))
+    claims: dict = {}
+    for rank, defs in enumerate(workload.per_rank):
+        for d in defs:
+            claims.setdefault(split_full_name(d.full_name)[0], set()).add(rank)
+    merged_shared = {
+        encode_record(d.kind, d.full_name, d.payload)
+        for defs in workload.per_rank
+        for d in defs
+        if len(claims[split_full_name(d.full_name)[0]]) > 1
+    }
+    assert merged_shared
+    calls = _decodes_per_rank(monkeypatch, workload)
+    assert len(calls) == workload.nranks
+    for recs in calls.values():
+        assert sorted(recs) == sorted(merged_shared)
+
+
+def test_classic_header_build_decodes_each_merged_record_once(monkeypatch):
+    workload = gen_workload(small_spec(shared_fraction=0.5, seed=21))
+    merged = {
+        encode_record(d.kind, d.full_name, d.payload)
+        for defs in workload.per_rank
+        for d in defs
+    }
+    calls = _decodes_per_rank(monkeypatch, workload, run_lib_baseline)
+    assert list(calls) == ["rank-0"]  # only the writer builds the header
+    assert sorted(calls["rank-0"]) == sorted(merged)
 
 
 # --- determinism -----------------------------------------------------------------
