@@ -37,6 +37,7 @@ from .errors import (
 MAGIC_PREFIX = b"CDF"
 SUPPORTED_VERSIONS = (1, 2, 5)
 DEFAULT_VERSION = 5
+DEFAULT_ALIGN = 4  # data-section alignment of both header formats
 
 TAG_DIMENSIONS = 0x0A
 TAG_VARIABLES = 0x0B
@@ -128,11 +129,13 @@ class Header:
     vars: tuple[VariableDef, ...] = ()
 
 
-def _pad4(n: int) -> int:
+def pad4(n: int) -> int:
+    """Zero bytes that pad ``n`` bytes to a multiple of four."""
     return (4 - n % 4) % 4
 
 
-def _align_up(n: int, align: int) -> int:
+def align_up(n: int, align: int) -> int:
+    """``n`` rounded up to a multiple of ``align``."""
     return (n + align - 1) // align * align
 
 
@@ -169,7 +172,7 @@ def var_size_bytes(dim_lengths: tuple[int, ...], type_tag: TypeTag) -> int:
     for length in dim_lengths:
         n *= length
     raw = n * type_tag.itemsize
-    return raw + _pad4(raw)
+    return raw + pad4(raw)
 
 
 def pack_values(type_tag: TypeTag, values) -> bytes:
@@ -261,7 +264,7 @@ class _Writer:
     def name(self, text: str) -> None:
         raw = text.encode("ascii")
         self.count(len(raw), "name length")
-        self.parts.append(raw + b"\x00" * _pad4(len(raw)))
+        self.parts.append(raw + b"\x00" * pad4(len(raw)))
 
     def getvalue(self) -> bytes:
         return b"".join(self.parts)
@@ -284,7 +287,7 @@ def _write_atts(w: _Writer, atts) -> None:
         raw = pack_values(att.type_tag, att.values)
         nelems = len(raw) // att.type_tag.itemsize
         w.count(nelems, "attribute value count")
-        w.parts.append(raw + b"\x00" * _pad4(len(raw)))
+        w.parts.append(raw + b"\x00" * pad4(len(raw)))
 
 
 def encode_header_lists(header: Header, version: int) -> bytes:
@@ -363,7 +366,7 @@ class _Reader:
     def name(self) -> str:
         n = self.count()
         raw = self.take(n)
-        pad = self.take(_pad4(n))
+        pad = self.take(pad4(n))
         if pad.strip(b"\x00"):
             raise CorruptHeader("non-zero name padding")
         try:
@@ -390,7 +393,7 @@ def _read_atts(r: _Reader) -> tuple[AttributeDef, ...]:
             raise CorruptHeader(str(exc)) from exc
         nelems = r.count()
         raw = r.take(nelems * type_tag.itemsize)
-        pad = r.take(_pad4(len(raw)))
+        pad = r.take(pad4(len(raw)))
         if pad.strip(b"\x00"):
             raise CorruptHeader("non-zero attribute padding")
         atts.append(AttributeDef(name, type_tag, unpack_values(type_tag, raw)))
@@ -461,7 +464,7 @@ def encoded_size(header: Header, version: int = DEFAULT_VERSION) -> int:
     size = 4 + cw  # magic + numrecs
 
     def name_size(text: str) -> int:
-        return cw + len(text) + _pad4(len(text))
+        return cw + len(text) + pad4(len(text))
 
     def atts_size(atts) -> int:
         total = 4 + cw
@@ -471,7 +474,7 @@ def encoded_size(header: Header, version: int = DEFAULT_VERSION) -> int:
                 if att.type_tag is TypeTag.CHAR
                 else len(att.values) * att.type_tag.itemsize
             )
-            total += name_size(att.name) + 4 + cw + raw_len + _pad4(raw_len)
+            total += name_size(att.name) + 4 + cw + raw_len + pad4(raw_len)
         return total
 
     size += 4 + cw
@@ -515,7 +518,7 @@ def compute_offsets(
     need = encoded_size(header, version)
     if header_reserve < need:
         raise ReserveTooSmall(f"reserve {header_reserve} < encoded size {need}")
-    cursor = _align_up(header_reserve, alignment)
+    cursor = align_up(header_reserve, alignment)
     placed = []
     for var in header.vars:
         placed.append(replace(var, begin=cursor))

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import os
 import sys
 
 from .classic import Header, decode_classic, encode_classic
@@ -151,7 +152,13 @@ def _hash_size(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    out = open(args.out, "w", newline="") if args.out else sys.stdout
+    if args.out:
+        with open(args.out, "w", newline="") as out:
+            return _bench(args, out)
+    return _bench(args, sys.stdout)
+
+
+def _bench(args, out) -> int:
     writer = csv.DictWriter(out, fieldnames=CSV_COLUMNS)
     writer.writeheader()
     failures = 0
@@ -183,8 +190,6 @@ def cmd_bench(args) -> int:
                 failures += 1
                 continue
             writer.writerow(aggregate_row(kind, nranks, args.seed, result.reports))
-    if args.out:
-        out.close()
     return 1 if failures else 0
 
 
@@ -420,9 +425,18 @@ def main(argv=None) -> int:
     if isinstance(getattr(args, "strategies", None), str):
         args.strategies = _parse_strategies(args.strategies)
     try:
-        return args.fn(args)
+        status = args.fn(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+        return status
     except ParaheadError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # the reader left early (`parahead bench | head -1`); point stdout at
+        # devnull so the interpreter's final flush cannot fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return 1
 
 

@@ -23,7 +23,7 @@ input; counters are exact and deterministic.
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .records import decode_record, digest64, record_name
 
@@ -42,19 +42,24 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class NameRecord:
-    """One gathered definition: conflict checks run over lists of these."""
+    """One gathered definition: conflict checks run over lists of these.
+
+    ``key`` is the namespace key, the kind tag byte followed by the UTF-8
+    full name.  It is made once, at construction, because every detector
+    reads it; it is derived data, so equality and hashing leave it out.
+    """
 
     full_name: str
     origin_rank: int
     payload_digest: int
     payload_ref: bytes
+    key: bytes | None = field(default=None, compare=False, repr=False)
 
-    @property
-    def key(self) -> bytes:
-        """Namespace key: kind tag byte followed by the full name."""
-        return self.payload_ref[:1] + self.full_name.encode("utf-8")
+    def __post_init__(self):
+        if self.key is None:
+            self.key = self.payload_ref[:1] + self.full_name.encode("utf-8")
 
 
 @dataclass(frozen=True)
@@ -83,11 +88,16 @@ class Mismatch:
 
 
 def make_name_records(rank_record_lists) -> list[NameRecord]:
-    """Flatten per-rank serialized records into check input, rank-major order."""
+    """Flatten per-rank serialized records into check input, rank-major order.
+
+    This is where a gathered record's kind and name are parsed, once each:
+    checks, merging and the file order all read them from the result.
+    """
     out = []
     for rank, records in enumerate(rank_record_lists):
         for rec in records:
-            out.append(NameRecord(record_name(rec)[1], rank, digest64(rec), rec))
+            key, name = record_name(rec)
+            out.append(NameRecord(name, rank, digest64(rec), rec, key))
     return out
 
 

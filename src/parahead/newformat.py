@@ -20,7 +20,15 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 
-from .classic import Header, decode_header_lists, encode_header_lists, encoded_size
+from .classic import (
+    DEFAULT_ALIGN,
+    Header,
+    align_up,
+    decode_header_lists,
+    encode_header_lists,
+    encoded_size,
+    pad4,
+)
 from .errors import (
     BadMagic,
     CorruptHeader,
@@ -33,7 +41,6 @@ from .errors import (
 )
 
 INDEX_MAGIC = b"CDH\x01"
-DEFAULT_ALIGN = 4
 
 _BLOCK_VERSION = 5  # block lists always use 64-bit counts
 _ENTRY_FIXED = 5 * 8  # offset, size, n_dims, n_vars, n_atts
@@ -67,14 +74,6 @@ class MetadataBlock:
     content: Header
 
 
-def _pad4(n: int) -> int:
-    return (4 - n % 4) % 4
-
-
-def _align_up(n: int, align: int) -> int:
-    return (n + align - 1) // align * align
-
-
 def validate_block_path(path: str) -> None:
     """Paths are printable ASCII without edge or doubled slashes; '' is the root."""
     if path == "":
@@ -100,11 +99,11 @@ def join_full_name(block_path: str, local: str) -> str:
 
 def _pack_path(path: str) -> bytes:
     raw = path.encode("ascii")
-    return struct.pack(">Q", len(raw)) + raw + b"\x00" * _pad4(len(raw))
+    return struct.pack(">Q", len(raw)) + raw + b"\x00" * pad4(len(raw))
 
 
 def _path_record_size(path: str) -> int:
-    return 8 + len(path) + _pad4(len(path))
+    return 8 + len(path) + pad4(len(path))
 
 
 def _read_path(buf: bytes, pos: int, what: str) -> tuple[str, int]:
@@ -113,7 +112,7 @@ def _read_path(buf: bytes, pos: int, what: str) -> tuple[str, int]:
         raise Truncated(f"{what} path length missing")
     (path_len,) = struct.unpack_from(">Q", buf, pos)
     pos += 8
-    padded = path_len + _pad4(path_len)
+    padded = path_len + pad4(path_len)
     if len(buf) < pos + padded:
         raise Truncated(f"{what} path cut short")
     if buf[pos + path_len : pos + padded].strip(b"\x00"):
@@ -248,13 +247,13 @@ def layout_from_stats(stats, align: int = DEFAULT_ALIGN) -> IndexTable:
     paths = [s.block_path for s in ordered]
     if len(set(paths)) != len(paths):
         raise DuplicateName("duplicate block path")
-    cursor = _align_up(index_table_encoded_size(paths), align)
+    cursor = align_up(index_table_encoded_size(paths), align)
     entries = []
     for s in ordered:
         entries.append(
             IndexEntry(s.block_path, cursor, s.size, s.n_dims, s.n_vars, s.n_atts)
         )
-        cursor = _align_up(cursor + s.size, align)
+        cursor = align_up(cursor + s.size, align)
     return IndexTable(tuple(entries), cursor)
 
 

@@ -22,8 +22,8 @@ import zlib
 from dataclasses import dataclass
 from enum import IntEnum
 
-from .classic import AttributeDef, TypeTag, pack_values, unpack_values
-from .errors import Truncated
+from .classic import AttributeDef, TypeTag, pack_values
+from .errors import CorruptHeader, Truncated
 
 
 class ObjectKind(IntEnum):
@@ -51,6 +51,15 @@ class VarPayload:
 
 
 Payload = DimPayload | AttPayload | VarPayload
+
+_U32 = struct.Struct(">I")
+_U32X2 = struct.Struct(">II")
+_U64 = struct.Struct(">Q")
+KINDS = {int(k): k for k in ObjectKind}
+# type tag value -> (tag, item size, struct code); CHAR values stay bytes
+_TYPES = {
+    int(t): (t, t.itemsize, None if t is TypeTag.CHAR else t.struct_char) for t in TypeTag
+}
 
 
 def digest64(data: bytes) -> int:
@@ -88,58 +97,92 @@ def encode_record(kind: ObjectKind, full_name: str, payload: Payload) -> bytes:
     return b"".join(parts)
 
 
-class _Cursor:
-    def __init__(self, buf: bytes, pos: int = 0):
-        self.buf = buf
-        self.pos = pos
-
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.buf):
-            raise Truncated(f"record needs {n} bytes at offset {self.pos}")
-        out = self.buf[self.pos : self.pos + n]
-        self.pos += n
-        return out
-
-    def u32(self) -> int:
-        return struct.unpack(">I", self.take(4))[0]
-
-    def u64(self) -> int:
-        return struct.unpack(">Q", self.take(8))[0]
-
-    def name(self) -> str:
-        return self.take(self.u32()).decode("utf-8")
+def _read_name(buf: bytes, pos: int, end: int) -> tuple[str, int]:
+    """Name record at ``pos``: the decoded name and the offset just past it."""
+    if pos + 4 > end:
+        raise Truncated(f"record needs a name length at offset {pos}")
+    stop = pos + 4 + _U32.unpack_from(buf, pos)[0]
+    if stop > end:
+        raise Truncated(f"record name at offset {pos} runs past the end")
+    try:
+        return buf[pos + 4 : stop].decode("utf-8"), stop
+    except UnicodeDecodeError as exc:
+        raise CorruptHeader(f"record name at offset {pos} is not UTF-8") from exc
 
 
-def _read_att_body(c: _Cursor) -> AttPayload:
-    type_tag = TypeTag(c.u32())
-    nelems = c.u32()
-    raw = c.take(nelems * type_tag.itemsize)
-    return AttPayload(type_tag, unpack_values(type_tag, raw))
+def _read_typed_values(buf: bytes, pos: int, end: int) -> tuple[TypeTag, tuple | bytes, int]:
+    """Attribute body at ``pos``: type tag, values and the offset just past it."""
+    if pos + 8 > end:
+        raise Truncated(f"record needs an attribute type and count at offset {pos}")
+    tag, nelems = _U32X2.unpack_from(buf, pos)
+    entry = _TYPES.get(tag)
+    if entry is None:
+        raise CorruptHeader(f"unknown type tag {tag} at offset {pos}")
+    type_tag, itemsize, fmt = entry
+    pos += 8
+    stop = pos + nelems * itemsize
+    if stop > end:
+        raise Truncated(f"attribute values at offset {pos} run past the end")
+    if fmt is None:
+        return type_tag, buf[pos:stop], stop
+    return type_tag, struct.unpack_from(f">{nelems}{fmt}", buf, pos), stop
 
 
 def decode_record(buf: bytes) -> tuple[ObjectKind, str, Payload]:
-    c = _Cursor(buf)
-    kind = ObjectKind(c.take(1)[0])
-    full_name = c.name()
+    """Inverse of :func:`encode_record`; malformed input raises a ParaheadError.
+
+    One pass over offsets: every read is bounds-checked first (``Truncated``),
+    unknown kind or type tags and non-UTF-8 names raise ``CorruptHeader``, and
+    so do bytes left over after the payload.
+    """
+    end = len(buf)
+    if end < 1:
+        raise Truncated("empty record")
+    kind = KINDS.get(buf[0])
+    if kind is None:
+        raise CorruptHeader(f"unknown record kind {buf[0]}")
+    full_name, pos = _read_name(buf, 1, end)
     if kind is ObjectKind.DIMENSION:
-        return kind, full_name, DimPayload(c.u64())
-    if kind is ObjectKind.ATTRIBUTE:
-        body = _read_att_body(c)
-        return kind, full_name, body
-    type_tag = TypeTag(c.u32())
-    dim_names = tuple(c.name() for _ in range(c.u32()))
-    atts = []
-    for _ in range(c.u32()):
-        att_name = c.name()
-        body = _read_att_body(c)
-        atts.append(AttributeDef(att_name, body.type_tag, body.values))
-    return kind, full_name, VarPayload(type_tag, dim_names, tuple(atts))
+        if pos + 8 > end:
+            raise Truncated(f"record needs a dimension length at offset {pos}")
+        payload = DimPayload(_U64.unpack_from(buf, pos)[0])
+        pos += 8
+    elif kind is ObjectKind.ATTRIBUTE:
+        type_tag, values, pos = _read_typed_values(buf, pos, end)
+        payload = AttPayload(type_tag, values)
+    else:
+        if pos + 8 > end:
+            raise Truncated(f"record needs a variable type and rank at offset {pos}")
+        tag, ndims = _U32X2.unpack_from(buf, pos)
+        entry = _TYPES.get(tag)
+        if entry is None:
+            raise CorruptHeader(f"unknown type tag {tag} at offset {pos}")
+        pos += 8
+        dim_names = []
+        for _ in range(ndims):
+            dim_name, pos = _read_name(buf, pos, end)
+            dim_names.append(dim_name)
+        if pos + 4 > end:
+            raise Truncated(f"record needs an attribute count at offset {pos}")
+        natts = _U32.unpack_from(buf, pos)[0]
+        pos += 4
+        atts = []
+        for _ in range(natts):
+            att_name, pos = _read_name(buf, pos, end)
+            att_tag, values, pos = _read_typed_values(buf, pos, end)
+            atts.append(AttributeDef(att_name, att_tag, values))
+        payload = VarPayload(entry[0], tuple(dim_names), tuple(atts))
+    if pos != end:
+        raise CorruptHeader(f"{end - pos} bytes left over after the record")
+    return kind, full_name, payload
 
 
-def record_name(rec: bytes) -> tuple[int, str]:
-    """Kind byte and full name of a record, read without decoding its payload."""
-    n = int.from_bytes(rec[1:5], "big")
-    return rec[0], rec[5 : 5 + n].decode("utf-8")
+def record_name(rec: bytes) -> tuple[bytes, str]:
+    """Namespace key (kind byte + UTF-8 name bytes) and full name of a record,
+    read without decoding its payload."""
+    stop = 5 + int.from_bytes(rec[1:5], "big")
+    raw = rec[5:stop]
+    return rec[:1] + raw, raw.decode("utf-8")
 
 
 def pack_stream(records: list[bytes]) -> bytes:
@@ -152,5 +195,19 @@ def pack_stream(records: list[bytes]) -> bytes:
 
 
 def unpack_stream(buf: bytes) -> list[bytes]:
-    c = _Cursor(buf)
-    return [c.take(c.u32()) for _ in range(c.u32())]
+    """Inverse of :func:`pack_stream`; a short buffer raises ``Truncated``."""
+    end = len(buf)
+    if end < 4:
+        raise Truncated("record stream needs a count")
+    count = _U32.unpack_from(buf, 0)[0]
+    pos = 4
+    out = []
+    for _ in range(count):
+        if pos + 4 > end:
+            raise Truncated(f"record stream needs a length at offset {pos}")
+        stop = pos + 4 + _U32.unpack_from(buf, pos)[0]
+        if stop > end:
+            raise Truncated(f"record at offset {pos} runs past the stream's end")
+        out.append(buf[pos + 4 : stop])
+        pos = stop
+    return out

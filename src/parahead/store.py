@@ -18,7 +18,7 @@ from .errors import (
     MissingObject,
     NoSuchObject,
 )
-from .records import ObjectKind, Payload, digest64, encode_record
+from .records import ObjectKind, Payload, decode_record, digest64, encode_record
 
 
 @dataclass
@@ -72,10 +72,21 @@ class RankStore:
         Re-defining the same (name, payload) is idempotent and returns the
         original LID; the same name with a different payload is an error.
         """
+        return self._add(kind, full_name, payload, encode_record(kind, full_name, payload))
+
+    def define_record(self, record: bytes) -> int:
+        """Add a definition from its serialized record and return its LID.
+
+        The record is decoded once and stored as given; since records encode
+        canonically, that is the record :meth:`define` would have made, and
+        redefinition behaves the same way.
+        """
+        return self._add(*decode_record(record), record)
+
+    def _add(self, kind: ObjectKind, full_name: str, payload: Payload, record: bytes) -> int:
         if self.finalized:
             raise AlreadyFinalized(f"rank {self.rank} left define mode")
         key = (kind, full_name)
-        record = encode_record(kind, full_name, payload)
         existing = self._by_key.get(key)
         if existing is not None:
             if existing.record != record:

@@ -24,15 +24,18 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 
 from .classic import (
+    DEFAULT_ALIGN,
     AttributeDef,
     DimensionDef,
     Header,
     TypeTag,
     VariableDef,
+    align_up,
     compute_offsets,
     decode_classic,
     encode_classic,
     encoded_size,
+    pad4,
     var_size_bytes,
 )
 from .comm import SimComm, run_ranks
@@ -64,6 +67,7 @@ from .newformat import (
     split_full_name,
 )
 from .records import (
+    KINDS,
     AttPayload,
     DimPayload,
     ObjectKind,
@@ -72,14 +76,12 @@ from .records import (
     digest64,
     encode_record,
     pack_stream,
-    record_name,
     unpack_stream,
 )
 from .store import PendingObject, RankStore, gids_from_order
 from .workload import Workload
 
 DEFAULT_HASH_SIZE = 16_384
-DEFAULT_ALIGN = 4
 
 PHASES = ("define", "exchange", "consistency_check", "header_write", "close_free")
 
@@ -226,30 +228,24 @@ def _resolve_lockstep(flag) -> bool:
 # --- shared classic-format machinery -----------------------------------------
 
 
-def merge_records(rank_record_lists) -> list[bytes]:
-    """Deduplicate gathered records into the file order.
+def merge_records(name_records) -> tuple[list[NameRecord], dict[ObjectKind, list[str]]]:
+    """Deduplicate gathered records into the file order, in one pass.
 
     Objects are ordered per kind by (rank of first definer, creation index);
-    a shared object keeps its lowest-rank definer's position.
+    a shared object keeps its lowest-rank definer's position.  Returns the
+    first record of each name and, per kind, the names in file order.
     """
     seen = set()
     merged = []
-    for records in rank_record_lists:
-        for rec in records:
-            key = record_name(rec)
-            if key in seen:
-                continue
-            seen.add(key)
-            merged.append(rec)
-    return merged
-
-
-def global_order_from_records(records) -> dict[ObjectKind, list[str]]:
     order: dict[ObjectKind, list[str]] = {k: [] for k in ObjectKind}
-    for rec in records:
-        kind, name = record_name(rec)
-        order[ObjectKind(kind)].append(name)
-    return order
+    for rec in name_records:
+        key = rec.key
+        if key in seen:
+            continue
+        seen.add(key)
+        merged.append(rec)
+        order[KINDS[key[0]]].append(rec.full_name)
+    return merged, order
 
 
 def build_classic_header(merged_records) -> Header:
@@ -291,7 +287,7 @@ def build_classic_header(merged_records) -> Header:
 def _write_classic_root(ctx: RankContext, image: FileImage, merged) -> None:
     if ctx.rank != 0:
         return
-    header = build_classic_header(merged)
+    header = build_classic_header([rec.payload_ref for rec in merged])
     reserve = encoded_size(header, 5)
     header = compute_offsets(header, reserve, DEFAULT_ALIGN, version=5)
     raw = encode_classic(header, 5)
@@ -321,21 +317,19 @@ def run_app_baseline(
             ctx.meter.acquire(len(buf))
             gathered = comm.allgatherv(rank, buf)
             ctx.meter.acquire(sum(len(g) for g in gathered))
-            rank_lists = [unpack_stream(g) for g in gathered]
-            records = make_name_records(rank_lists)
+            records = make_name_records([unpack_stream(g) for g in gathered])
         with ctx.phase("consistency_check"):
             report = hash_check(records, hash_size)
             ctx.count_check(report)
             if report.conflicts:
                 raise ConsistencyError(report.conflicts)
         with ctx.phase("define"):
-            merged = merge_records(rank_lists)
+            merged, order = merge_records(records)
             store = RankStore(rank)
             for rec in merged:
-                kind, name, payload = decode_record(rec)
-                store.define(kind, name, payload)
+                store.define_record(rec.payload_ref)
             ctx.meter.acquire(store.serialized_bytes())
-            store.finalize_gids(gids_from_order(global_order_from_records(merged)))
+            store.finalize_gids(gids_from_order(order))
         with ctx.phase("header_write"):
             _write_classic_root(ctx, image, merged)
         with ctx.phase("close_free"):
@@ -378,16 +372,15 @@ def run_lib_baseline(
             buf = pack_stream([o.record for o in store.objects])
             gathered = comm.allgatherv(rank, buf)
             ctx.meter.acquire(sum(len(g) for g in gathered))
-            rank_lists = [unpack_stream(g) for g in gathered]
-            records = make_name_records(rank_lists)
+            records = make_name_records([unpack_stream(g) for g in gathered])
         with ctx.phase("consistency_check"):
             report = hash_check(records, hash_size) if check == "hash" else sort_check(records)
             ctx.count_check(report)
             if report.conflicts:
                 raise ConsistencyError(report.conflicts)
         with ctx.phase("header_write"):
-            merged = merge_records(rank_lists)
-            store.finalize_gids(gids_from_order(global_order_from_records(merged)))
+            merged, order = merge_records(records)
+            store.finalize_gids(gids_from_order(order))
             _write_classic_root(ctx, image, merged)
         with ctx.phase("close_free"):
             ctx.meter.release_all()
@@ -451,12 +444,8 @@ def _defs(objs) -> list[tuple]:
     return [(o.kind, o.full_name, o.payload) for o in objs]
 
 
-def _pad4(n: int) -> int:
-    return (4 - n % 4) % 4
-
-
 def _name_rec_size(local: str) -> int:
-    return 8 + len(local) + _pad4(len(local))
+    return 8 + len(local) + pad4(len(local))
 
 
 def _att_entry_size(att: AttributeDef) -> int:
@@ -465,7 +454,7 @@ def _att_entry_size(att: AttributeDef) -> int:
         if att.type_tag is TypeTag.CHAR
         else len(att.values) * att.type_tag.itemsize
     )
-    return _name_rec_size(att.name) + 4 + 8 + raw + _pad4(raw)
+    return _name_rec_size(att.name) + 4 + 8 + raw + pad4(raw)
 
 
 def _block_facts(path: str, defs, digest: int) -> _ProtoEntry:
@@ -605,15 +594,15 @@ def run_new_format(
             ]
             gathered_shared = comm.allgatherv(rank, pack_stream(shared_own))
             ctx.meter.acquire(sum(len(g) for g in gathered_shared))
-            shared_lists = [unpack_stream(g) for g in gathered_shared]
-            shared_report = hash_check(make_name_records(shared_lists), hash_size)
+            shared_records = make_name_records([unpack_stream(g) for g in gathered_shared])
+            shared_report = hash_check(shared_records, hash_size)
             ctx.count_check(shared_report)
             if shared_report.conflicts:
                 raise ConsistencyError(shared_report.conflicts)
             merged_shared: dict[str, list[bytes]] = {p: [] for p in shared_paths}
-            for rec in merge_records(shared_lists):
-                path, _ = split_full_name(record_name(rec)[1])
-                merged_shared[path].append(rec)
+            for rec in merge_records(shared_records)[0]:
+                path, _ = split_full_name(rec.full_name)
+                merged_shared[path].append(rec.payload_ref)
 
         with ctx.phase("header_write"):
             # block contents this rank can materialize; facts for everything
@@ -641,7 +630,7 @@ def run_new_format(
             ctx.meter.acquire(len(index_raw))  # replicated index copy
 
             # data-section offsets: path-sorted blocks, creation order within
-            data_cursor = _align_up(table.header_reserve, align)
+            data_cursor = align_up(table.header_reserve, align)
             writers: dict[str, int] = {}
             starts: dict[str, int] = {}
             for entry in table.entries:
@@ -679,10 +668,6 @@ def run_new_format(
         workload.nranks, body, lockstep=_resolve_lockstep(lockstep), order_seed=order_seed
     )
     return RunResult(image, reports)
-
-
-def _align_up(n: int, align: int) -> int:
-    return (n + align - 1) // align * align
 
 
 def compute_block_offsets(content: Header, data_start: int) -> Header:
@@ -776,7 +761,7 @@ class HeaderHandle:
         for _ in range(count):
             (path_len,) = struct.unpack(">Q", self._take(pos, 8))
             pos += 8
-            padded = path_len + (-path_len) % 4
+            padded = path_len + pad4(path_len)
             self._take(pos, padded + 40)
             pos += padded + 40
         table, used = decode_index_table_prefix(self._source.read(0, pos))

@@ -325,7 +325,8 @@ def test_criterion_09_write_responsibility():
 def test_criterion_10_id_mapping():
     from parahead.records import VarPayload
     from parahead.classic import TypeTag
-    from parahead.strategies import global_order_from_records, merge_records
+    from parahead.consistency import make_name_records
+    from parahead.strategies import merge_records
 
     def payload():
         return VarPayload(TypeTag.FLOAT, ())
@@ -344,7 +345,7 @@ def test_criterion_10_id_mapping():
         [o.record for o in rank0.objects],
         [o.record for o in rank1.objects],
     ]
-    order = gids_from_order(global_order_from_records(merge_records(gathered)))
+    order = gids_from_order(merge_records(make_name_records(gathered))[1])
     rank0.finalize_gids(order)
     rank1.finalize_gids(order)
 

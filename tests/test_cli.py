@@ -205,3 +205,44 @@ def test_bad_flags_rejected(capsys):
         main(["bench", "--strategies", "nonsense"])
     with pytest.raises(SystemExit):
         main(["bench", "--ranks", "zero"])
+
+
+def test_closed_stdout_pipe_exits_quietly():
+    # the reader closes its end before bench writes anything, as `| head -1` may
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "parahead.cli", "bench", "--scale", "0.0005",
+         "--ranks", "1", "--strategies", "lib_hash"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    proc.stdout.close()
+    try:
+        err = proc.stderr.read().decode()
+        code = proc.wait(timeout=120)
+    finally:
+        proc.kill()
+        proc.stderr.close()
+    assert code in (0, 1)
+    assert "Traceback" not in err and "Exception ignored" not in err
+
+
+def test_bench_closes_its_output_file_on_error(tmp_path, monkeypatch):
+    import builtins
+
+    from parahead import cli
+
+    opened = []
+
+    def tracking_open(*args, **kwargs):
+        opened.append(builtins.open(*args, **kwargs))
+        return opened[-1]
+
+    def failing_run(*args, **kwargs):
+        raise RuntimeError("strategy crashed")
+
+    monkeypatch.setattr(cli, "open", tracking_open, raising=False)
+    monkeypatch.setattr(cli, "run_strategy", failing_run)
+    with pytest.raises(RuntimeError):
+        main(["bench", "--scale", "0.0005", "--ranks", "1", "--strategies", "lib_hash",
+              "--out", str(tmp_path / "x.csv")])
+    assert len(opened) == 1 and opened[0].closed

@@ -10,7 +10,7 @@ from parahead.errors import (
     MissingObject,
     NoSuchObject,
 )
-from parahead.records import DimPayload, ObjectKind, VarPayload
+from parahead.records import DimPayload, ObjectKind, VarPayload, encode_record
 from parahead.store import RankStore, gids_from_order
 from parahead.classic import TypeTag
 
@@ -124,3 +124,29 @@ def test_serialized_bytes_tracks_records():
     store.define(DIM, "x", DimPayload(10))
     store.define(VAR, "a", v("x"))
     assert store.serialized_bytes() == sum(len(o.record) for o in store.objects) > 0
+
+
+def test_define_record_matches_define():
+    by_payload, by_record = RankStore(0), RankStore(0)
+    by_payload.define(DIM, "x", DimPayload(10))
+    by_payload.define(VAR, "a", v("x"))
+    for obj in by_payload.objects:
+        record = bytes(bytearray(obj.record))  # a new object: the store keeps this one
+        assert by_record.define_record(record) == obj.lid
+        assert by_record.objects[-1].record is record
+    assert [
+        (o.kind, o.full_name, o.payload, o.lid, o.record, o.digest) for o in by_record.objects
+    ] == [
+        (o.kind, o.full_name, o.payload, o.lid, o.record, o.digest) for o in by_payload.objects
+    ]
+
+
+def test_define_record_redefinition_rules():
+    store = RankStore(0)
+    first = store.define(VAR, "t", v("x"))
+    assert store.define_record(encode_record(VAR, "t", v("x"))) == first
+    with pytest.raises(LocalNameConflict):
+        store.define_record(encode_record(VAR, "t", v("y")))
+    store.finalize_gids({(VAR, "t"): 0})
+    with pytest.raises(AlreadyFinalized):
+        store.define_record(encode_record(DIM, "x", DimPayload(3)))

@@ -30,7 +30,7 @@ from parahead.strategies import (
     run_lib_baseline,
     run_new_format,
 )
-from parahead.workload import WorkloadSpec, gen_workload
+from parahead.workload import WorkloadSpec, gen_workload, spec_for_dataset
 
 from conftest import random_header
 
@@ -401,22 +401,29 @@ def test_block_size_arithmetic_matches_encoder():
             assert facts.enc_size == real
 
 
-def _decodes_per_rank(monkeypatch, workload, run=run_new_format) -> dict:
-    """Records each rank thread passes to the strategies' decode_record."""
+def _calls_per_rank(monkeypatch, workload, run, name, modules) -> dict:
+    """First argument of every call each rank thread makes to ``name`` in ``modules``."""
     import threading
 
-    from parahead import strategies
-
     calls: dict = {}
-    original = strategies.decode_record
+    for module in modules:
 
-    def counting(rec):
-        calls.setdefault(threading.current_thread().name, []).append(rec)
-        return original(rec)
+        def counting(arg, *rest, _original=getattr(module, name)):
+            calls.setdefault(threading.current_thread().name, []).append(arg)
+            return _original(arg, *rest)
 
-    monkeypatch.setattr(strategies, "decode_record", counting)
-    run(workload, 64)
+        monkeypatch.setattr(module, name, counting)
+    run(workload)
     return calls
+
+
+def _decodes_per_rank(monkeypatch, workload, run=run_new_format) -> dict:
+    """Records each rank thread decodes, in the strategies or in its store."""
+    from parahead import store, strategies
+
+    return _calls_per_rank(
+        monkeypatch, workload, lambda w: run(w, 64), "decode_record", (strategies, store)
+    )
 
 
 def test_new_format_decodes_no_own_record(monkeypatch):
@@ -452,6 +459,54 @@ def test_classic_header_build_decodes_each_merged_record_once(monkeypatch):
     calls = _decodes_per_rank(monkeypatch, workload, run_lib_baseline)
     assert list(calls) == ["rank-0"]  # only the writer builds the header
     assert sorted(calls["rank-0"]) == sorted(merged)
+
+
+def test_app_decodes_each_merged_record_once_per_rank(monkeypatch):
+    workload = gen_workload(small_spec(shared_fraction=0.5, seed=21))
+    merged = sorted({
+        encode_record(d.kind, d.full_name, d.payload)
+        for defs in workload.per_rank
+        for d in defs
+    })
+    calls = _decodes_per_rank(monkeypatch, workload, run_app_baseline)
+    assert len(calls) == workload.nranks
+    for thread, recs in calls.items():
+        # rank 0 decodes each once more to build the classic header
+        assert sorted(recs) == (sorted(merged * 2) if thread == "rank-0" else merged)
+
+
+@pytest.mark.parametrize("check", ["app", "hash", "sort"])
+def test_each_gathered_record_name_parsed_once_per_rank(monkeypatch, check):
+    from parahead import consistency, store, strategies
+
+    workload = gen_workload(small_spec(shared_fraction=0.5, seed=21))
+    gathered = sorted(
+        encode_record(d.kind, d.full_name, d.payload)
+        for defs in workload.per_rank
+        for d in defs
+    )
+    if check == "app":
+        run = lambda w: run_app_baseline(w, 64)
+    else:
+        run = lambda w: run_lib_baseline(w, 64, check)
+    parsers = [m for m in (consistency, store, strategies) if hasattr(m, "record_name")]
+    calls = _calls_per_rank(monkeypatch, workload, run, "record_name", parsers)
+    assert len(calls) == workload.nranks
+    for recs in calls.values():
+        assert sorted(recs) == gathered
+
+
+def test_app_encodes_only_each_ranks_own_definitions(monkeypatch):
+    from parahead import store, strategies
+
+    workload = gen_workload(spec_for_dataset("98M", 0.0025, 8, seed=1))
+    calls = _calls_per_rank(
+        monkeypatch, workload, run_app_baseline, "encode_record", (strategies, store)
+    )
+    assert {thread: len(kinds) for thread, kinds in calls.items()} == {
+        f"rank-{r}": len(defs) for r, defs in enumerate(workload.per_rank)
+    }
+    assert sum(len(kinds) for kinds in calls.values()) == 3_553  # not 9 x 3,553
 
 
 # --- determinism -----------------------------------------------------------------
