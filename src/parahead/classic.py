@@ -497,7 +497,8 @@ def fill_vsizes(header: Header) -> Header:
             if not 0 <= ref < len(header.dims):
                 raise DanglingDimRef(f"variable {var.name!r} references dim {ref}")
         lengths = tuple(header.dims[r].length for r in var.dim_refs)
-        filled.append(replace(var, vsize=var_size_bytes(lengths, var.type_tag)))
+        vsize = var_size_bytes(lengths, var.type_tag)
+        filled.append(var if var.vsize == vsize else replace(var, vsize=vsize))
     return replace(header, vars=tuple(filled))
 
 

@@ -16,12 +16,7 @@ import sys
 
 from .classic import Header, decode_classic, encode_classic
 from .errors import NameWidthOverflow, ParaheadError
-from .newformat import (
-    MetadataBlock,
-    assemble_image,
-    decode_image,
-    join_full_name,
-)
+from .newformat import assemble_image, decode_image, flatten_blocks, partition_header
 from .strategies import (
     FileSource,
     HeaderHandle,
@@ -237,87 +232,10 @@ def cmd_inspect(args) -> int:
     return 0
 
 
-def _flatten_to_classic(image_bytes: bytes) -> Header:
-    """Merge a partitioned file's blocks into one flat header, path-prefixed."""
-    _, blocks = decode_image(image_bytes)
-    dims = []
-    gatts = []
-    vars_ = []
-    dim_ids: dict[str, int] = {}
-    for path in sorted(blocks):
-        content = blocks[path].content
-        for dim in content.dims:
-            full = join_full_name(path, dim.name)
-            _check_name_width(full)
-            dim_ids[full] = len(dims)
-            dims.append(type(dim)(full, dim.length))
-        for att in content.global_atts:
-            full = join_full_name(path, att.name)
-            _check_name_width(full)
-            gatts.append(type(att)(full, att.type_tag, att.values))
-        for var in content.vars:
-            full = join_full_name(path, var.name)
-            _check_name_width(full)
-            refs = tuple(
-                dim_ids[join_full_name(path, content.dims[r].name)]
-                for r in var.dim_refs
-            )
-            vars_.append(
-                type(var)(full, refs, var.type_tag, var.attributes, var.begin, var.vsize)
-            )
-    return Header(tuple(dims), tuple(gatts), tuple(vars_))
-
-
-def _check_name_width(name: str) -> None:
-    if len(name) > MAX_CLASSIC_NAME:
-        raise NameWidthOverflow(f"{name!r} exceeds {MAX_CLASSIC_NAME} characters")
-
-
-def _partition_to_blocks(header: Header) -> list[MetadataBlock]:
-    """Group a flat header into blocks by each name's path prefix.
-
-    Slash-free names land in the reserved root block; prefixed names go to
-    the block their path denotes, with references rewritten block-locally.
-    Variable data offsets are preserved untouched (no data relocation).
-    """
-    from parahead.errors import DanglingDimRef
-    from parahead.newformat import split_full_name
-
-    grouped: dict[str, dict[str, list]] = {}
-
-    def bucket(path: str) -> dict[str, list]:
-        return grouped.setdefault(path, {"dims": [], "atts": [], "vars": []})
-
-    local_dim_ids: dict[str, tuple[str, int]] = {}
-    for dim in header.dims:
-        path, local = split_full_name(dim.name)
-        slot = bucket(path)
-        local_dim_ids[dim.name] = (path, len(slot["dims"]))
-        slot["dims"].append(type(dim)(local, dim.length))
-    for att in header.global_atts:
-        path, local = split_full_name(att.name)
-        bucket(path)["atts"].append(type(att)(local, att.type_tag, att.values))
-    for var in header.vars:
-        path, local = split_full_name(var.name)
-        refs = []
-        for r in var.dim_refs:
-            dim_path, dim_local_id = local_dim_ids[header.dims[r].name]
-            if dim_path != path:
-                raise DanglingDimRef(
-                    f"variable {var.name!r} uses dimension {header.dims[r].name!r} "
-                    "from another block; cannot partition"
-                )
-            refs.append(dim_local_id)
-        bucket(path)["vars"].append(
-            type(var)(local, tuple(refs), var.type_tag, var.attributes,
-                      var.begin, var.vsize)
-        )
-    return [
-        MetadataBlock(
-            path, Header(tuple(g["dims"]), tuple(g["atts"]), tuple(g["vars"]))
-        )
-        for path, g in grouped.items()
-    ]
+def _check_name_widths(header: Header) -> None:
+    for obj in (*header.dims, *header.global_atts, *header.vars):
+        if len(obj.name) > MAX_CLASSIC_NAME:
+            raise NameWidthOverflow(f"{obj.name!r} exceeds {MAX_CLASSIC_NAME} characters")
 
 
 def cmd_convert(args) -> int:
@@ -326,11 +244,12 @@ def cmd_convert(args) -> int:
     if args.format == "new":
         header = decode_classic(raw)
         # variable data stays where it was; only the metadata is reorganized
-        image = assemble_image(_partition_to_blocks(header))
+        image = assemble_image(partition_header(header))
         with open(args.out, "wb") as fh:
             fh.write(image)
     else:
-        header = _flatten_to_classic(raw)
+        header = flatten_blocks(decode_image(raw)[1].values())
+        _check_name_widths(header)
         with open(args.out, "wb") as fh:
             fh.write(encode_classic(header, 5))
     print(f"converted {args.path} -> {args.out} ({args.format})")

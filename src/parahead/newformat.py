@@ -18,7 +18,7 @@ there.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .classic import (
     DEFAULT_ALIGN,
@@ -32,6 +32,7 @@ from .classic import (
 from .errors import (
     BadMagic,
     CorruptHeader,
+    DanglingDimRef,
     DuplicateName,
     OverlappingBlocks,
     ParaheadError,
@@ -39,6 +40,7 @@ from .errors import (
     UnrepresentableValue,
     UnsortedIndex,
 )
+from .records import ObjectKind
 
 INDEX_MAGIC = b"CDH\x01"
 
@@ -280,6 +282,21 @@ def assemble_image(blocks, align: int = DEFAULT_ALIGN) -> bytes:
     return bytes(image)
 
 
+def check_block_entry(entry: IndexEntry, block: MetadataBlock) -> None:
+    """Raise CorruptHeader unless ``block`` has the path and counts ``entry`` declares."""
+    if block.block_path != entry.block_path:
+        raise CorruptHeader(
+            f"index names {entry.block_path!r} but block says {block.block_path!r}"
+        )
+    counts = (
+        len(block.content.dims),
+        len(block.content.vars),
+        len(block.content.global_atts),
+    )
+    if counts != (entry.n_dims, entry.n_vars, entry.n_atts):
+        raise CorruptHeader(f"object counts disagree for block {entry.block_path!r}")
+
+
 def decode_image(buf: bytes) -> tuple[IndexTable, dict[str, MetadataBlock]]:
     """Decode a full image and cross-check every entry against its block."""
     table = decode_index_table(buf)
@@ -291,16 +308,90 @@ def decode_image(buf: bytes) -> tuple[IndexTable, dict[str, MetadataBlock]]:
             block = decode_block(buf[entry.offset : entry.offset + entry.size])
         except ParaheadError as exc:
             raise type(exc)(f"block {entry.block_path!r}: {exc}") from exc
-        if block.block_path != entry.block_path:
-            raise CorruptHeader(
-                f"index names {entry.block_path!r} but block says {block.block_path!r}"
-            )
-        counts = (
-            len(block.content.dims),
-            len(block.content.vars),
-            len(block.content.global_atts),
-        )
-        if counts != (entry.n_dims, entry.n_vars, entry.n_atts):
-            raise CorruptHeader(f"object counts disagree for block {entry.block_path!r}")
+        check_block_entry(entry, block)
         blocks[entry.block_path] = block
     return table, blocks
+
+
+def gid_bases(entries) -> dict[str, dict[ObjectKind, int]]:
+    """Per block path, the GID of its first object of each kind.
+
+    GIDs are per-kind indices in file order, so a block's bases are the
+    index counts of the blocks before it: no block needs to be read.
+    """
+    bases = {}
+    running = {k: 0 for k in ObjectKind}
+    for e in entries:
+        bases[e.block_path] = dict(running)
+        running[ObjectKind.DIMENSION] += e.n_dims
+        running[ObjectKind.VARIABLE] += e.n_vars
+        running[ObjectKind.ATTRIBUTE] += e.n_atts
+    return bases
+
+
+# --- block <-> flat mapping ----------------------------------------------------
+
+
+def flatten_blocks(blocks) -> Header:
+    """One flat header from blocks in path order, names prefixed with their path.
+
+    Dimension references are shifted by the dimensions of earlier blocks;
+    ``begin``/``vsize`` are kept, so no variable data moves.
+    """
+    dims = []
+    gatts = []
+    vars_ = []
+    for block in sorted(blocks, key=lambda b: b.block_path):
+        path, content = block.block_path, block.content
+        first = len(dims)
+        dims += [replace(d, name=join_full_name(path, d.name)) for d in content.dims]
+        gatts += [
+            replace(a, name=join_full_name(path, a.name)) for a in content.global_atts
+        ]
+        vars_ += [
+            replace(
+                v,
+                name=join_full_name(path, v.name),
+                dim_refs=tuple(first + r for r in v.dim_refs),
+            )
+            for v in content.vars
+        ]
+    return Header(tuple(dims), tuple(gatts), tuple(vars_))
+
+
+def partition_header(header: Header) -> list[MetadataBlock]:
+    """Group a flat header into blocks by each name's path prefix.
+
+    Slash-free names land in the reserved root block; prefixed names go to
+    the block their path denotes, with references rewritten block-locally.
+    ``begin``/``vsize`` are kept, so no variable data moves.  A variable over
+    another block's dimension raises DanglingDimRef.
+    """
+    grouped: dict[str, tuple[list, list, list]] = {}
+    dim_homes = []  # flat dim id -> (block path, block-local id)
+    for dim in header.dims:
+        path, local = split_full_name(dim.name)
+        dims = grouped.setdefault(path, ([], [], []))[0]
+        dim_homes.append((path, len(dims)))
+        dims.append(replace(dim, name=local))
+    for att in header.global_atts:
+        path, local = split_full_name(att.name)
+        grouped.setdefault(path, ([], [], []))[1].append(replace(att, name=local))
+    for var in header.vars:
+        path, local = split_full_name(var.name)
+        refs = []
+        for r in var.dim_refs:
+            dim_path, local_id = dim_homes[r]
+            if dim_path != path:
+                raise DanglingDimRef(
+                    f"variable {var.name!r} uses dimension {header.dims[r].name!r} "
+                    "from another block; cannot partition"
+                )
+            refs.append(local_id)
+        grouped.setdefault(path, ([], [], []))[2].append(
+            replace(var, name=local, dim_refs=tuple(refs))
+        )
+    return [
+        MetadataBlock(path, Header(tuple(d), tuple(a), tuple(v)))
+        for path, (d, a, v) in grouped.items()
+    ]

@@ -133,15 +133,9 @@ class RankStore:
         """Record a lazily resolved remote object and hand out its LID."""
         if not self.finalized:
             raise RuntimeError(f"rank {self.rank} has not finalized GIDs yet")
-        known = self.id_map.gid_to_lid[kind].get(gid)
-        if known is not None:
-            return known
-        self._global_gids[(kind, full_name)] = gid
-        lid = self._lid_counts[kind]
-        self._lid_counts[kind] = lid + 1
-        self.id_map.lid_to_gid[kind].append(gid)
-        self.id_map.gid_to_lid[kind][gid] = lid
-        return lid
+        if gid not in self.id_map.gid_to_lid[kind]:
+            self._global_gids[(kind, full_name)] = gid
+        return self._pin(kind, gid)
 
     def inquire(self, kind: ObjectKind, full_name: str) -> int:
         """Resolve a name to a LID, assigning the next free LID on first use."""
@@ -154,6 +148,10 @@ class RankStore:
         gid = self._global_gids.get(key)
         if gid is None:
             raise NoSuchObject(f"{full_name!r} does not exist in the file")
+        return self._pin(kind, gid)
+
+    def _pin(self, kind: ObjectKind, gid: int) -> int:
+        """LID of a GID, pinning an unseen one behind the next free LID."""
         known = self.id_map.gid_to_lid[kind].get(gid)
         if known is not None:
             return known

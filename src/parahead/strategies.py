@@ -20,7 +20,7 @@ import struct
 import threading
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 
 from .classic import (
@@ -28,7 +28,6 @@ from .classic import (
     AttributeDef,
     DimensionDef,
     Header,
-    TypeTag,
     VariableDef,
     align_up,
     compute_offsets,
@@ -58,10 +57,13 @@ from .newformat import (
     BlockStats,
     IndexTable,
     MetadataBlock,
+    block_stats,
+    check_block_entry,
     decode_block,
     decode_index_table_prefix,
     encode_block,
     encode_index_table,
+    gid_bases,
     join_full_name,
     layout_from_stats,
     split_full_name,
@@ -248,46 +250,54 @@ def merge_records(name_records) -> tuple[list[NameRecord], dict[ObjectKind, list
     return merged, order
 
 
-def build_classic_header(merged_records) -> Header:
-    """Materialize a header from deduplicated records, resolving dim names to ids.
+def build_classic_header(defs, path: str = "") -> Header:
+    """Materialize a header from (kind, full name, payload) triples, in order.
 
-    Each record is decoded once: dimensions and attributes in the first pass,
-    variables (which need every dimension id) in the second.  The kind byte
-    picks the pass, so no decoded payload outlives its pass.
+    Dimension names resolve to ids by full name; variables wait until every
+    dimension is known, and get their ``vsize``.  With a block ``path``, the
+    stored names drop the ``path/`` prefix, so a variable over another
+    block's dimension raises DanglingDimRef.
     """
+    cut = len(path) + 1 if path else 0
     dims = []
     gatts = []
-    vars_ = []
+    pending = []
     dim_ids: dict[str, int] = {}
-    for rec in merged_records:
-        if rec[0] == ObjectKind.VARIABLE:
-            continue
-        kind, full_name, payload = decode_record(rec)
-        if kind is ObjectKind.DIMENSION:
+    for kind, full_name, payload in defs:
+        if kind is ObjectKind.VARIABLE:
+            pending.append((full_name, payload))
+        elif kind is ObjectKind.DIMENSION:
             dim_ids[full_name] = len(dims)
-            dims.append(DimensionDef(full_name, payload.length))
+            dims.append(DimensionDef(full_name[cut:], payload.length))
         else:
-            gatts.append(AttributeDef(full_name, payload.type_tag, payload.values))
-    for rec in merged_records:
-        if rec[0] != ObjectKind.VARIABLE:
-            continue
-        _, full_name, payload = decode_record(rec)
+            gatts.append(AttributeDef(full_name[cut:], payload.type_tag, payload.values))
+    vars_ = []
+    for full_name, payload in pending:
         try:
             refs = tuple(dim_ids[d] for d in payload.dim_names)
         except KeyError as exc:
             raise DanglingDimRef(
                 f"variable {full_name!r} references unknown dimension {exc.args[0]!r}"
             ) from exc
+        vsize = var_size_bytes(tuple(dims[r].length for r in refs), payload.type_tag)
         vars_.append(
-            VariableDef(full_name, refs, payload.type_tag, payload.attributes)
+            VariableDef(
+                full_name[cut:], refs, payload.type_tag, payload.attributes, 0, vsize
+            )
         )
     return Header(tuple(dims), tuple(gatts), tuple(vars_))
 
 
-def _write_classic_root(ctx: RankContext, image: FileImage, merged) -> None:
+def _defs(objs):
+    """(kind, full name, payload) triples of stored objects, no decoding."""
+    return ((o.kind, o.full_name, o.payload) for o in objs)
+
+
+def _write_classic_root(ctx: RankContext, image: FileImage, defs) -> None:
+    """Rank 0 writes the header of the merged triples ``defs``, in file order."""
     if ctx.rank != 0:
         return
-    header = build_classic_header([rec.payload_ref for rec in merged])
+    header = build_classic_header(defs)
     reserve = encoded_size(header, 5)
     header = compute_offsets(header, reserve, DEFAULT_ALIGN, version=5)
     raw = encode_classic(header, 5)
@@ -331,7 +341,8 @@ def run_app_baseline(
             ctx.meter.acquire(store.serialized_bytes())
             store.finalize_gids(gids_from_order(order))
         with ctx.phase("header_write"):
-            _write_classic_root(ctx, image, merged)
+            # the store holds every merged object, in file order
+            _write_classic_root(ctx, image, _defs(store.objects))
         with ctx.phase("close_free"):
             ctx.meter.release_all()
         return ctx.report()
@@ -381,7 +392,9 @@ def run_lib_baseline(
         with ctx.phase("header_write"):
             merged, order = merge_records(records)
             store.finalize_gids(gids_from_order(order))
-            _write_classic_root(ctx, image, merged)
+            _write_classic_root(
+                ctx, image, (decode_record(rec.payload_ref) for rec in merged)
+            )
         with ctx.phase("close_free"):
             ctx.meter.release_all()
         return ctx.report()
@@ -397,125 +410,28 @@ def run_lib_baseline(
 _PROTO_FIXED = struct.Struct(">QQQQQQ")  # n_dims, n_vars, n_atts, size, data, digest
 
 
-@dataclass(frozen=True)
-class _ProtoEntry:
-    """Per-block facts exchanged before layout: counts, sizes, content digest."""
-
-    block_path: str
-    n_dims: int
-    n_vars: int
-    n_atts: int
-    enc_size: int
-    data_size: int
-    digest: int
+def _block_facts(path: str, content: Header) -> tuple[BlockStats, int]:
+    """Layout facts of a block: its stats and the data bytes of its variables."""
+    return block_stats(MetadataBlock(path, content)), sum(v.vsize for v in content.vars)
 
 
-def _block_content(defs) -> Header:
-    """Block-local header from the block's (kind, full name, payload) triples,
-    with names stripped of the path."""
-    dims = []
-    gatts = []
-    vars_ = []
-    dim_ids: dict[str, int] = {}
-    for kind, full_name, payload in defs:
-        _, local = split_full_name(full_name)
-        if kind is ObjectKind.DIMENSION:
-            dim_ids[full_name] = len(dims)
-            dims.append(DimensionDef(local, payload.length))
-        elif kind is ObjectKind.ATTRIBUTE:
-            gatts.append(AttributeDef(local, payload.type_tag, payload.values))
-    for kind, full_name, payload in defs:
-        if kind is not ObjectKind.VARIABLE:
-            continue
-        _, local = split_full_name(full_name)
-        try:
-            refs = tuple(dim_ids[d] for d in payload.dim_names)
-        except KeyError as exc:
-            raise DanglingDimRef(
-                f"variable {full_name!r} references dimension {exc.args[0]!r} "
-                "outside its block"
-            ) from exc
-        vars_.append(VariableDef(local, refs, payload.type_tag, payload.attributes))
-    return Header(tuple(dims), tuple(gatts), tuple(vars_))
-
-
-def _defs(objs) -> list[tuple]:
-    """(kind, full name, payload) triples of a rank's own objects, no decoding."""
-    return [(o.kind, o.full_name, o.payload) for o in objs]
-
-
-def _name_rec_size(local: str) -> int:
-    return 8 + len(local) + pad4(len(local))
-
-
-def _att_entry_size(att: AttributeDef) -> int:
-    raw = (
-        len(att.values)
-        if att.type_tag is TypeTag.CHAR
-        else len(att.values) * att.type_tag.itemsize
-    )
-    return _name_rec_size(att.name) + 4 + 8 + raw + pad4(raw)
-
-
-def _block_facts(path: str, defs, digest: int) -> _ProtoEntry:
-    """Size and count facts for a block from its (kind, full name, payload)
-    triples; ``digest`` is the digest of the block's concatenated records.
-
-    Works on partial contributions too: a rank sharing a block may reference
-    dimensions another rank contributes, so nothing is resolved here.  Data
-    sizes of unresolved variables count as zero; they are recomputed from the
-    merged content before layout, and encoding validates strictly.
-    """
-    counts = {k: 0 for k in ObjectKind}
-    enc = _name_rec_size(path) + 3 * (4 + 8)  # path record + three list headers
-    dim_lengths: dict[str, int] = {}
-    pending: list[VarPayload] = []
-    for kind, full_name, payload in defs:
-        counts[kind] += 1
-        local = split_full_name(full_name)[1]
-        if kind is ObjectKind.DIMENSION:
-            dim_lengths[full_name] = payload.length
-            enc += _name_rec_size(local) + 8
-        elif kind is ObjectKind.ATTRIBUTE:
-            enc += _att_entry_size(AttributeDef(local, payload.type_tag, payload.values))
-        else:
-            enc += _name_rec_size(local) + 8 + 8 * len(payload.dim_names)
-            enc += 4 + 8 + sum(_att_entry_size(a) for a in payload.attributes)
-            enc += 4 + 8 + 8  # type, vsize, begin
-            pending.append(payload)
-    data = 0
-    for payload in pending:
-        try:
-            lengths = tuple(dim_lengths[d] for d in payload.dim_names)
-        except KeyError:
-            continue
-        data += var_size_bytes(lengths, payload.type_tag)
-    return _ProtoEntry(
-        path,
-        counts[ObjectKind.DIMENSION],
-        counts[ObjectKind.VARIABLE],
-        counts[ObjectKind.ATTRIBUTE],
-        enc,
-        data,
-        digest,
-    )
-
-
-def _pack_proto(entries) -> bytes:
-    parts = [struct.pack(">I", len(entries))]
-    for e in entries:
-        raw = e.block_path.encode("ascii")
+def _pack_proto(facts) -> bytes:
+    """Wire form of per-block (stats, data size, content digest) triples."""
+    parts = [struct.pack(">I", len(facts))]
+    for stats, data_size, digest in facts:
+        raw = stats.block_path.encode("ascii")
         parts.append(struct.pack(">I", len(raw)))
         parts.append(raw)
         parts.append(
             _PROTO_FIXED.pack(
-                e.n_dims, e.n_vars, e.n_atts, e.enc_size, e.data_size, e.digest
+                stats.n_dims, stats.n_vars, stats.n_atts, stats.size, data_size, digest
             )
         )
     return b"".join(parts)
 
 
-def _unpack_proto(buf: bytes) -> list[_ProtoEntry]:
+def _unpack_proto(buf: bytes) -> list[tuple[BlockStats, int]]:
+    """(stats, data size) of each block in a :func:`_pack_proto` buffer."""
     out = []
     pos = 0
     (count,) = struct.unpack_from(">I", buf, pos)
@@ -525,9 +441,9 @@ def _unpack_proto(buf: bytes) -> list[_ProtoEntry]:
         pos += 4
         path = buf[pos : pos + n].decode("ascii")
         pos += n
-        fields = _PROTO_FIXED.unpack_from(buf, pos)
+        n_dims, n_vars, n_atts, size, data_size, _ = _PROTO_FIXED.unpack_from(buf, pos)
         pos += _PROTO_FIXED.size
-        out.append(_ProtoEntry(path, *fields))
+        out.append((BlockStats(path, size, n_dims, n_vars, n_atts), data_size))
     return out
 
 
@@ -556,13 +472,23 @@ def run_new_format(
                 own_blocks.setdefault(path, []).append(obj)
 
         with ctx.phase("exchange"):
-            proto = _pack_proto(
-                [
-                    _block_facts(p, _defs(objs), digest64(b"".join(o.record for o in objs)))
-                    for p, objs in own_blocks.items()
-                ]
-            )
-            gathered_proto = comm.allgatherv(rank, proto)
+            # Each own block's content is built once.  A rank's part of a
+            # shared block may use a dimension another rank defines: its
+            # facts are never read, as the merged block replaces them, and
+            # the error stands if no other rank claims the block.
+            contents: dict[str, Header] = {}
+            unresolved: dict[str, DanglingDimRef] = {}
+            own_facts = []
+            for p, objs in own_blocks.items():
+                digest = digest64(b"".join(o.record for o in objs))
+                try:
+                    contents[p] = build_classic_header(_defs(objs), p)
+                except DanglingDimRef as exc:
+                    unresolved[p] = exc
+                    own_facts.append((BlockStats(p, 0, 0, 0, 0), 0, digest))
+                else:
+                    own_facts.append((*_block_facts(p, contents[p]), digest))
+            gathered_proto = comm.allgatherv(rank, _pack_proto(own_facts))
             ctx.meter.acquire(sum(len(g) for g in gathered_proto))
 
         with ctx.phase("consistency_check"):
@@ -573,14 +499,14 @@ def run_new_format(
             assert not local_report.conflicts  # the store enforced local uniqueness
 
             claims: dict[str, list[int]] = {}
-            proto_by_path: dict[str, _ProtoEntry] = {}
+            facts: dict[str, tuple[BlockStats, int]] = {}
             block_names = []
             for peer, raw in enumerate(gathered_proto):
-                for entry in _unpack_proto(raw):
-                    claims.setdefault(entry.block_path, []).append(peer)
-                    proto_by_path.setdefault(entry.block_path, entry)
+                for stats, data_size in _unpack_proto(raw):
+                    claims.setdefault(stats.block_path, []).append(peer)
+                    facts.setdefault(stats.block_path, (stats, data_size))
                     block_names.append(
-                        NameRecord(entry.block_path, peer, digest64(b"\xff"), b"\xff")
+                        NameRecord(stats.block_path, peer, digest64(b"\xff"), b"\xff")
                     )
             block_report = hash_check(block_names, hash_size)
             ctx.count_check(block_report)
@@ -605,45 +531,27 @@ def run_new_format(
                 merged_shared[path].append(rec.payload_ref)
 
         with ctx.phase("header_write"):
-            # block contents this rank can materialize; facts for everything
-            contents: dict[str, Header] = {}
-            facts: dict[str, _ProtoEntry] = {}
+            # shared blocks are rebuilt from their merged records
             for path in sorted(claims):
                 if path in shared_paths:
-                    recs = merged_shared[path]
-                    defs = [decode_record(rec) for rec in recs]
-                    facts[path] = _block_facts(path, defs, digest64(b"".join(recs)))
-                    contents[path] = _block_content(defs)
-                else:
-                    facts[path] = proto_by_path[path]
-                    if path in own_blocks:
-                        contents[path] = _block_content(_defs(own_blocks[path]))
-            table = layout_from_stats(
-                [
-                    BlockStats(p, facts[p].enc_size, facts[p].n_dims,
-                               facts[p].n_vars, facts[p].n_atts)
-                    for p in facts
-                ],
-                align,
-            )
+                    defs = (decode_record(rec) for rec in merged_shared[path])
+                    contents[path] = build_classic_header(defs, path)
+                    facts[path] = _block_facts(path, contents[path])
+                elif path in unresolved:
+                    raise unresolved[path]
+            table = layout_from_stats([stats for stats, _ in facts.values()], align)
             index_raw = encode_index_table(table)
             ctx.meter.acquire(len(index_raw))  # replicated index copy
 
             # data-section offsets: path-sorted blocks, creation order within
             data_cursor = align_up(table.header_reserve, align)
-            writers: dict[str, int] = {}
-            starts: dict[str, int] = {}
             for entry in table.entries:
                 path = entry.block_path
-                starts[path] = data_cursor
-                data_cursor += facts[path].data_size
-                owners = claims[path]
-                writers[path] = min(owners)
-            for entry in table.entries:
-                path = entry.block_path
-                if writers[path] != rank:
+                start = data_cursor
+                data_cursor += facts[path][1]
+                if min(claims[path]) != rank:
                     continue
-                content = compute_block_offsets(contents[path], starts[path])
+                content = compute_offsets(contents[path], start, 1)
                 raw = encode_block(MetadataBlock(path, content))
                 if len(raw) != entry.size:
                     raise RuntimeError(
@@ -657,7 +565,17 @@ def run_new_format(
                 ctx.io_bytes_written += len(index_raw)
 
             # GID assignment: block-sorted order, creation order within block
-            gids = _gids_for_known_blocks(table, contents)
+            bases = gid_bases(table.entries)
+            gids: dict = {}
+            for path, content in contents.items():
+                base = bases[path]
+                for kind, objs in (
+                    (ObjectKind.DIMENSION, content.dims),
+                    (ObjectKind.VARIABLE, content.vars),
+                    (ObjectKind.ATTRIBUTE, content.global_atts),
+                ):
+                    for i, obj in enumerate(objs):
+                        gids[(kind, join_full_name(path, obj.name))] = base[kind] + i
             store.finalize_gids(gids)
 
         with ctx.phase("close_free"):
@@ -668,44 +586,6 @@ def run_new_format(
         workload.nranks, body, lockstep=_resolve_lockstep(lockstep), order_seed=order_seed
     )
     return RunResult(image, reports)
-
-
-def compute_block_offsets(content: Header, data_start: int) -> Header:
-    """Assign file-absolute begin offsets to a block's variables."""
-    cursor = data_start
-    placed = []
-    for var in content.vars:
-        lengths = tuple(content.dims[r].length for r in var.dim_refs)
-        vsize = var_size_bytes(lengths, var.type_tag)
-        placed.append(replace(var, begin=cursor, vsize=vsize))
-        cursor += vsize
-    return replace(content, vars=tuple(placed))
-
-
-def _gids_for_known_blocks(table: IndexTable, contents) -> dict:
-    """(kind, full name) -> GID for every block whose content is at hand.
-
-    GIDs are per-kind indices in file order: the index table's counts give
-    each block's starting id, so remote blocks never need to be read.
-    """
-    gids: dict = {}
-    base = {k: 0 for k in ObjectKind}
-    for entry in table.entries:
-        content = contents.get(entry.block_path)
-        if content is not None:
-            for i, dim in enumerate(content.dims):
-                name = join_full_name(entry.block_path, dim.name)
-                gids[(ObjectKind.DIMENSION, name)] = base[ObjectKind.DIMENSION] + i
-            for i, var in enumerate(content.vars):
-                name = join_full_name(entry.block_path, var.name)
-                gids[(ObjectKind.VARIABLE, name)] = base[ObjectKind.VARIABLE] + i
-            for i, att in enumerate(content.global_atts):
-                name = join_full_name(entry.block_path, att.name)
-                gids[(ObjectKind.ATTRIBUTE, name)] = base[ObjectKind.ATTRIBUTE] + i
-        base[ObjectKind.DIMENSION] += entry.n_dims
-        base[ObjectKind.VARIABLE] += entry.n_vars
-        base[ObjectKind.ATTRIBUTE] += entry.n_atts
-    return gids
 
 
 # --- read path --------------------------------------------------------------
@@ -749,7 +629,7 @@ class HeaderHandle:
         self._table = self._read_index()
         self._entries = {e.block_path: e for e in self._table.entries}
         self._cache: dict[str, dict] = {}
-        self._gid_base = self._compute_gid_bases()
+        self._gid_base = gid_bases(self._table.entries)
 
     def _read_index(self) -> IndexTable:
         magic = self._take(0, len(INDEX_MAGIC))
@@ -773,16 +653,6 @@ class HeaderHandle:
         self.io_bytes_read += length
         return out
 
-    def _compute_gid_bases(self):
-        bases = {}
-        running = {k: 0 for k in ObjectKind}
-        for e in self._table.entries:
-            bases[e.block_path] = dict(running)
-            running[ObjectKind.DIMENSION] += e.n_dims
-            running[ObjectKind.VARIABLE] += e.n_vars
-            running[ObjectKind.ATTRIBUTE] += e.n_atts
-        return bases
-
     @property
     def index_table(self) -> IndexTable:
         return self._table
@@ -803,13 +673,8 @@ class HeaderHandle:
             block = decode_block(raw)
         except ParaheadError as exc:
             raise type(exc)(f"block {path!r}: {exc}") from exc
+        check_block_entry(entry, block)
         content = block.content
-        if (
-            block.block_path != path
-            or (len(content.dims), len(content.vars), len(content.global_atts))
-            != (entry.n_dims, entry.n_vars, entry.n_atts)
-        ):
-            raise Truncated(f"block {path!r} disagrees with its index entry")
         objects: dict = {}
         prefix = f"{path}/" if path else ""
         full_dim_names = [prefix + d.name for d in content.dims]
