@@ -1,0 +1,29 @@
+"""Layer micro-benchmarks of the classic and block list codecs.
+
+Run from the repository root::
+
+    PYTHONPATH=src python -m pytest benchmarks/ --benchmark-only
+"""
+
+from __future__ import annotations
+
+from parahead.classic import decode_classic, encode_classic
+from parahead.newformat import decode_block, encode_block
+
+
+def test_encode_classic(benchmark, shared_header, shared_header_bytes):
+    assert benchmark(encode_classic, shared_header, 5) == shared_header_bytes
+
+
+def test_decode_classic(benchmark, shared_header, shared_header_bytes):
+    assert benchmark(decode_classic, shared_header_bytes) == shared_header
+
+
+def test_encode_blocks(benchmark, shared_blocks, shared_block_bytes):
+    """Every block of the file, as new_format's ranks write them."""
+    assert benchmark(lambda: [encode_block(b) for b in shared_blocks]) == shared_block_bytes
+
+
+def test_decode_blocks(benchmark, shared_blocks, shared_block_bytes):
+    """Every block of the file, as a full read loads them."""
+    assert benchmark(lambda: [decode_block(raw) for raw in shared_block_bytes]) == shared_blocks

@@ -83,9 +83,6 @@ _STRUCT_CHARS = {
     TypeTag.INT64: "q",
 }
 
-# Types that only exist in the 64-bit-count format.
-_V5_ONLY_TYPES = frozenset({TypeTag.INT64})
-
 
 @dataclass(frozen=True)
 class DimensionDef:
@@ -131,7 +128,7 @@ class Header:
 
 def pad4(n: int) -> int:
     """Zero bytes that pad ``n`` bytes to a multiple of four."""
-    return (4 - n % 4) % 4
+    return -n & 3
 
 
 def align_up(n: int, align: int) -> int:
@@ -139,30 +136,28 @@ def align_up(n: int, align: int) -> int:
     return (n + align - 1) // align * align
 
 
-def _count_width(version: int) -> int:
-    return 8 if version == 5 else 4
-
-
-def _offset_width(version: int) -> int:
-    return 4 if version == 1 else 8
-
-
-def _count_max(version: int) -> int:
-    return 2**63 - 1 if version == 5 else 2**31 - 1
-
-
-def _offset_max(version: int) -> int:
-    return 2**31 - 1 if version == 1 else 2**63 - 1
+_S = struct.Struct
+# Per version: COUNT, a (tag, COUNT) pair, a variable's (nc_type, VSIZE, BEGIN)
+# tail, the struct code of a dimension id, and the largest COUNT and BEGIN.
+_WIDTHS = {
+    1: (_S(">I"), _S(">II"), _S(">III"), "I", 2**31 - 1, 2**31 - 1),
+    2: (_S(">I"), _S(">II"), _S(">IIQ"), "I", 2**31 - 1, 2**63 - 1),
+    5: (_S(">Q"), _S(">IQ"), _S(">IQQ"), "Q", 2**63 - 1, 2**63 - 1),
+}
+# type tag value -> (tag, item size, struct code); CHAR values stay bytes
+TYPES = {
+    int(t): (t, t.itemsize, None if t is TypeTag.CHAR else t.struct_char) for t in TypeTag
+}
+_PADS = (b"", b"\x00", b"\x00\x00", b"\x00\x00\x00")  # indexed by pad length
 
 
 def validate_name(name: str) -> None:
     """Reject names that cannot be stored: empty, non-printable, or bad slashes."""
     if not name:
         raise CorruptHeader("empty object name")
-    for ch in name:
-        if not (0x20 <= ord(ch) <= 0x7E):
-            raise CorruptHeader(f"non-printable character in name {name!r}")
-    if name.startswith("/") or name.endswith("/") or "//" in name:
+    if not (name.isascii() and name.isprintable()):  # exactly 0x20-0x7E
+        raise CorruptHeader(f"non-printable character in name {name!r}")
+    if name[0] == "/" or name[-1] == "/" or "//" in name:
         raise CorruptHeader(f"malformed path in name {name!r}")
 
 
@@ -186,261 +181,284 @@ def pack_values(type_tag: TypeTag, values) -> bytes:
     return struct.pack(f">{len(values)}{type_tag.struct_char}", *values)
 
 
-def unpack_values(type_tag: TypeTag, raw: bytes):
-    if type_tag is TypeTag.CHAR:
-        return raw
-    n = len(raw) // type_tag.itemsize
-    return tuple(struct.unpack(f">{n}{type_tag.struct_char}", raw))
+def _owned(what: str, name: str, owner: str | None) -> str:
+    return f"{what} {name!r}" if owner is None else f"{what} {name!r} of {owner!r}"
 
 
-def _validate_header(header: Header) -> None:
-    seen = set()
-    for dim in header.dims:
-        validate_name(dim.name)
-        if dim.length < 1:
-            raise UnsupportedFeature(f"dimension {dim.name!r} has length {dim.length}")
-        if dim.name in seen:
-            raise DuplicateName(f"dimension {dim.name!r}")
-        seen.add(dim.name)
-    _validate_atts(header.global_atts, "global attribute")
-    seen = set()
-    regions = []
-    for var in header.vars:
-        validate_name(var.name)
-        if var.name in seen:
-            raise DuplicateName(f"variable {var.name!r}")
-        seen.add(var.name)
-        for ref in var.dim_refs:
-            if not 0 <= ref < len(header.dims):
-                raise DanglingDimRef(f"variable {var.name!r} references dim {ref}")
-        lengths = tuple(header.dims[r].length for r in var.dim_refs)
-        expect = var_size_bytes(lengths, var.type_tag)
-        if var.vsize != expect:
-            raise CorruptHeader(
-                f"variable {var.name!r} vsize {var.vsize}, expected {expect}"
-            )
-        if var.begin < 0:
-            raise CorruptHeader(f"variable {var.name!r} has negative begin")
-        _validate_atts(var.attributes, f"attribute of {var.name!r}")
-        regions.append((var.begin, var.begin + var.vsize, var.name))
-    regions.sort()
+def _check_regions(vars_) -> None:
+    """Raise CorruptHeader if the data regions of two variables overlap."""
+    regions = sorted((v.begin, v.begin + v.vsize, v.name) for v in vars_)
     for (_, end_a, name_a), (start_b, _, name_b) in zip(regions, regions[1:]):
         if start_b < end_a:
             raise CorruptHeader(f"data regions of {name_a!r} and {name_b!r} overlap")
 
 
-def _validate_atts(atts, what: str) -> None:
+# --- encoding ------------------------------------------------------------------
+
+
+def _name_record(name: str, cnt: struct.Struct, cmax: int) -> bytes:
+    validate_name(name)
+    raw = name.encode("ascii")
+    if len(raw) > cmax:
+        raise UnrepresentableValue(f"name length {len(raw)} exceeds version width")
+    return cnt.pack(len(raw)) + raw + _PADS[-len(raw) & 3]
+
+
+def _list_head(pair: struct.Struct, tag: int, n: int, cmax: int, what: str) -> bytes:
+    if n > cmax:
+        raise UnrepresentableValue(f"{what} count {n} exceeds version width")
+    return pair.pack(tag if n else 0, n)
+
+
+def _encode_att_list(put, atts, version: int, owner: str | None) -> None:
+    cnt, pair, _, _, cmax, _ = _WIDTHS[version]
+    put(_list_head(pair, TAG_ATTRIBUTES, len(atts), cmax, "attribute"))
     seen = set()
     for att in atts:
-        validate_name(att.name)
-        if att.name in seen:
-            raise DuplicateName(f"{what} {att.name!r}")
-        seen.add(att.name)
-        # pack_values raises on empty numeric values / wrong CHAR payload
-        pack_values(att.type_tag, att.values)
-
-
-class _Writer:
-    def __init__(self, version: int):
-        self.version = version
-        self.parts: list[bytes] = []
-        self._cmax = _count_max(version)
-        self._cfmt = ">Q" if version == 5 else ">I"
-
-    def u32(self, value: int) -> None:
-        self.parts.append(struct.pack(">I", value))
-
-    def count(self, value: int, what: str) -> None:
-        if value > self._cmax:
-            raise UnrepresentableValue(f"{what} {value} exceeds version width")
-        self.parts.append(struct.pack(self._cfmt, value))
-
-    def offset(self, value: int, what: str) -> None:
-        if value > _offset_max(self.version):
-            raise UnrepresentableValue(f"{what} {value} exceeds version width")
-        fmt = ">I" if _offset_width(self.version) == 4 else ">Q"
-        self.parts.append(struct.pack(fmt, value))
-
-    def name(self, text: str) -> None:
-        raw = text.encode("ascii")
-        self.count(len(raw), "name length")
-        self.parts.append(raw + b"\x00" * pad4(len(raw)))
-
-    def getvalue(self) -> bytes:
-        return b"".join(self.parts)
-
-
-def _write_atts(w: _Writer, atts) -> None:
-    if not atts:
-        w.u32(0)
-        w.count(0, "attribute count")
-        return
-    w.u32(TAG_ATTRIBUTES)
-    w.count(len(atts), "attribute count")
-    for att in atts:
-        if att.type_tag in _V5_ONLY_TYPES and w.version != 5:
-            raise UnrepresentableValue(
-                f"type {att.type_tag.name} needs format version 5"
-            )
-        w.name(att.name)
-        w.u32(int(att.type_tag))
-        raw = pack_values(att.type_tag, att.values)
-        nelems = len(raw) // att.type_tag.itemsize
-        w.count(nelems, "attribute value count")
-        w.parts.append(raw + b"\x00" * pad4(len(raw)))
+        name, type_tag = att.name, att.type_tag
+        put(_name_record(name, cnt, cmax))
+        if name in seen:
+            raise DuplicateName(_owned("attribute", name, owner))
+        seen.add(name)
+        if type_tag is TypeTag.INT64 and version != 5:
+            raise UnrepresentableValue(f"type {type_tag.name} needs format version 5")
+        raw = pack_values(type_tag, att.values)  # each attribute is packed once
+        nelems = len(raw) // type_tag.itemsize
+        if nelems > cmax:
+            raise UnrepresentableValue(f"attribute value count {nelems} exceeds version width")
+        put(pair.pack(type_tag, nelems))
+        put(raw)
+        put(_PADS[-len(raw) & 3])
 
 
 def encode_header_lists(header: Header, version: int) -> bytes:
-    """Encode the three object lists (no magic/numrecs); shared with block encoding."""
+    """Encode the three object lists (no magic/numrecs); shared with block encoding.
+
+    One pass: each object is checked as it is written, with the same checks
+    as :func:`decode_header_lists`, and each attribute is packed once.
+    """
     if version not in SUPPORTED_VERSIONS:
         raise UnrepresentableValue(f"unknown format version {version}")
-    _validate_header(header)
-    w = _Writer(version)
-    if header.dims:
-        w.u32(TAG_DIMENSIONS)
-        w.count(len(header.dims), "dimension count")
-        for dim in header.dims:
-            w.name(dim.name)
-            w.count(dim.length, "dimension length")
-    else:
-        w.u32(0)
-        w.count(0, "dimension count")
-    _write_atts(w, header.global_atts)
-    if header.vars:
-        w.u32(TAG_VARIABLES)
-        w.count(len(header.vars), "variable count")
-        for var in header.vars:
-            w.name(var.name)
-            w.count(len(var.dim_refs), "dimension id count")
-            for ref in var.dim_refs:
-                w.count(ref, "dimension id")
-            _write_atts(w, var.attributes)
-            if var.type_tag in _V5_ONLY_TYPES and version != 5:
-                raise UnrepresentableValue(
-                    f"type {var.type_tag.name} needs format version 5"
-                )
-            w.u32(int(var.type_tag))
-            w.count(var.vsize, "variable size")
-            w.offset(var.begin, "variable begin")
-    else:
-        w.u32(0)
-        w.count(0, "variable count")
-    return w.getvalue()
+    cnt, pair, tail, code, cmax, omax = _WIDTHS[version]
+    parts: list[bytes] = []
+    put = parts.append
+    dims = header.dims
+    put(_list_head(pair, TAG_DIMENSIONS, len(dims), cmax, "dimension"))
+    lengths = []
+    seen = set()
+    for dim in dims:
+        name, length = dim.name, dim.length
+        put(_name_record(name, cnt, cmax))
+        if length < 1:
+            raise UnsupportedFeature(f"dimension {name!r} has length {length}")
+        if length > cmax:
+            raise UnrepresentableValue(f"dimension length {length} exceeds version width")
+        if name in seen:
+            raise DuplicateName(f"dimension {name!r}")
+        seen.add(name)
+        put(cnt.pack(length))
+        lengths.append(length)
+    _encode_att_list(put, header.global_atts, version, None)
+    put(_list_head(pair, TAG_VARIABLES, len(header.vars), cmax, "variable"))
+    seen = set()
+    last_end = 0
+    ordered = True  # begins ascend without overlap, so no sort is needed
+    for var in header.vars:
+        name, type_tag, vsize, begin = var.name, var.type_tag, var.vsize, var.begin
+        put(_name_record(name, cnt, cmax))
+        if name in seen:
+            raise DuplicateName(f"variable {name!r}")
+        seen.add(name)
+        size = type_tag.itemsize
+        for ref in var.dim_refs:
+            if not 0 <= ref < len(lengths):
+                raise DanglingDimRef(f"variable {name!r} references dim {ref}")
+            size *= lengths[ref]
+        put(cnt.pack(len(var.dim_refs)))
+        put(struct.pack(f">{len(var.dim_refs)}{code}", *var.dim_refs))
+        _encode_att_list(put, var.attributes, version, name)
+        if type_tag is TypeTag.INT64 and version != 5:
+            raise UnrepresentableValue(f"type {type_tag.name} needs format version 5")
+        size += -size & 3
+        if vsize != size:
+            raise CorruptHeader(f"variable {name!r} vsize {vsize}, expected {size}")
+        if begin < 0:
+            raise CorruptHeader(f"variable {name!r} has negative begin")
+        if vsize > cmax:
+            raise UnrepresentableValue(f"variable size {vsize} exceeds version width")
+        if begin > omax:
+            raise UnrepresentableValue(f"variable begin {begin} exceeds version width")
+        put(tail.pack(type_tag, vsize, begin))
+        ordered = ordered and begin >= last_end
+        last_end = begin + vsize
+    if not ordered:
+        _check_regions(header.vars)
+    return b"".join(parts)
 
 
 def encode_classic(header: Header, version: int = DEFAULT_VERSION) -> bytes:
     """Encode a header as classic-format bytes.  Deterministic for equal inputs."""
-    if version not in SUPPORTED_VERSIONS:
-        raise UnrepresentableValue(f"unknown format version {version}")
     lists = encode_header_lists(header, version)
-    numrecs = struct.pack(">Q" if version == 5 else ">I", 0)
-    return MAGIC_PREFIX + bytes([version]) + numrecs + lists
+    return MAGIC_PREFIX + bytes([version]) + _WIDTHS[version][0].pack(0) + lists
 
 
-class _Reader:
-    def __init__(self, buf: bytes, version: int, pos: int = 0):
-        self.buf = buf
-        self.pos = pos
-        self.version = version
-
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.buf):
-            raise Truncated(f"need {n} bytes at offset {self.pos}")
-        out = self.buf[self.pos : self.pos + n]
-        self.pos += n
-        return out
-
-    def u32(self) -> int:
-        return struct.unpack(">I", self.take(4))[0]
-
-    def count(self) -> int:
-        width = _count_width(self.version)
-        fmt = ">Q" if width == 8 else ">I"
-        return struct.unpack(fmt, self.take(width))[0]
-
-    def offset(self) -> int:
-        width = _offset_width(self.version)
-        fmt = ">Q" if width == 8 else ">I"
-        return struct.unpack(fmt, self.take(width))[0]
-
-    def name(self) -> str:
-        n = self.count()
-        raw = self.take(n)
-        pad = self.take(pad4(n))
-        if pad.strip(b"\x00"):
-            raise CorruptHeader("non-zero name padding")
-        try:
-            return raw.decode("ascii")
-        except UnicodeDecodeError as exc:
-            raise CorruptHeader(f"non-ASCII name at offset {self.pos}") from exc
+# --- decoding ------------------------------------------------------------------
 
 
-def _read_atts(r: _Reader) -> tuple[AttributeDef, ...]:
-    tag = r.u32()
-    n = r.count()
+def _read_name(buf: bytes, pos: int, end: int, cnt: struct.Struct) -> tuple[str, int]:
+    """Checked name at ``pos``: the name and the offset past its padding."""
+    stop = pos + cnt.size
+    if stop > end:
+        raise Truncated(f"need a name length at offset {pos}")
+    n = cnt.unpack_from(buf, pos)[0]
+    pad = _PADS[-n & 3]
+    padded = stop + n + len(pad)
+    if padded > end:
+        raise Truncated(f"name at offset {pos} runs past the end")
+    if buf[stop + n : padded] != pad:
+        raise CorruptHeader(f"non-zero name padding at offset {pos}")
+    try:
+        name = buf[stop : stop + n].decode("ascii")
+    except UnicodeDecodeError as exc:
+        raise CorruptHeader(f"non-ASCII name at offset {pos}") from exc
+    validate_name(name)
+    return name, padded
+
+
+def _read_list_head(
+    buf: bytes, pos: int, end: int, pair: struct.Struct, tag: int, entry_min: int,
+    what: str,
+) -> tuple[int, int]:
+    """Entry count of the list at ``pos`` and the offset of its first entry.
+
+    A count whose entries, ``entry_min`` bytes each at least, cannot fit in
+    the rest of the buffer raises Truncated before any entry is read.
+    """
+    stop = pos + pair.size
+    if stop > end:
+        raise Truncated(f"need the {what} list head at offset {pos}")
+    found, n = pair.unpack_from(buf, pos)
     if n == 0:
-        if tag != 0:
-            raise CorruptHeader(f"empty list with tag {tag:#x}")
-        return ()
-    if tag != TAG_ATTRIBUTES:
-        raise CorruptHeader(f"attribute list tagged {tag:#x}")
+        if found != 0:
+            raise CorruptHeader(f"empty list with tag {found:#x}")
+    elif found != tag:
+        raise CorruptHeader(f"{what} list tagged {found:#x}")
+    elif n > (end - stop) // entry_min:
+        raise Truncated(f"{n} {what} entries cannot fit in {end - stop} bytes")
+    return n, stop
+
+
+def _read_att_list(
+    buf: bytes, pos: int, end: int, version: int, owner: str | None
+) -> tuple[tuple[AttributeDef, ...], int]:
+    cnt, pair, _, _, _, _ = _WIDTHS[version]
+    n, pos = _read_list_head(
+        buf, pos, end, pair, TAG_ATTRIBUTES, 2 * cnt.size + 4, "attribute"
+    )
     atts = []
+    seen = set()
     for _ in range(n):
-        name = r.name()
-        try:
-            type_tag = TypeTag(r.u32())
-        except ValueError as exc:
-            raise CorruptHeader(str(exc)) from exc
-        nelems = r.count()
-        raw = r.take(nelems * type_tag.itemsize)
-        pad = r.take(pad4(len(raw)))
-        if pad.strip(b"\x00"):
-            raise CorruptHeader("non-zero attribute padding")
-        atts.append(AttributeDef(name, type_tag, unpack_values(type_tag, raw)))
-    return tuple(atts)
+        name, pos = _read_name(buf, pos, end, cnt)
+        if name in seen:
+            raise DuplicateName(_owned("attribute", name, owner))
+        seen.add(name)
+        if pos + pair.size > end:
+            raise Truncated(f"need an attribute type and count at offset {pos}")
+        tag, nelems = pair.unpack_from(buf, pos)
+        entry = TYPES.get(tag)
+        if entry is None:
+            raise CorruptHeader(f"unknown type tag {tag} at offset {pos}")
+        type_tag, itemsize, code = entry
+        pos += pair.size
+        stop = pos + nelems * itemsize
+        pad = _PADS[-(stop - pos) & 3]
+        if stop + len(pad) > end:
+            raise Truncated(f"attribute values at offset {pos} run past the end")
+        if buf[stop : stop + len(pad)] != pad:
+            raise CorruptHeader(f"non-zero attribute padding at offset {stop}")
+        if code is None:
+            values = buf[pos:stop]
+        elif nelems:
+            values = struct.unpack_from(f">{nelems}{code}", buf, pos)
+        else:
+            raise CorruptHeader(f"numeric {_owned('attribute', name, owner)} has no values")
+        atts.append(AttributeDef(name, type_tag, values))
+        pos = stop + len(pad)
+    return tuple(atts), pos
 
 
 def decode_header_lists(buf: bytes, version: int, pos: int = 0) -> tuple[Header, int]:
-    """Parse the three object lists starting at ``pos``; returns (header, end)."""
-    r = _Reader(buf, version, pos)
-    tag = r.u32()
-    n = r.count()
+    """Parse the three object lists starting at ``pos``; returns (header, end).
+
+    One pass over offsets that makes every check of the encoder: every
+    length is checked against the buffer before it is used (``Truncated``),
+    and names, tags, padding, duplicates, dimension references, sizes and
+    data regions as they are read.  Malformed input raises only ParaheadError.
+    """
+    cnt, pair, tail, code, _, _ = _WIDTHS[version]
+    cw = cnt.size
+    end = len(buf)
+    n, pos = _read_list_head(buf, pos, end, pair, TAG_DIMENSIONS, 2 * cw, "dimension")
     dims = []
-    if n:
-        if tag != TAG_DIMENSIONS:
-            raise CorruptHeader(f"dimension list tagged {tag:#x}")
-        for _ in range(n):
-            name = r.name()
-            length = r.count()
-            if length < 1:
-                raise UnsupportedFeature(f"dimension {name!r} has length {length}")
-            dims.append(DimensionDef(name, length))
-    elif tag != 0:
-        raise CorruptHeader(f"empty list with tag {tag:#x}")
-    gatts = _read_atts(r)
-    tag = r.u32()
-    n = r.count()
+    lengths = []
+    seen = set()
+    for _ in range(n):
+        name, pos = _read_name(buf, pos, end, cnt)
+        if pos + cw > end:
+            raise Truncated(f"need a dimension length at offset {pos}")
+        length = cnt.unpack_from(buf, pos)[0]
+        pos += cw
+        if length < 1:
+            raise UnsupportedFeature(f"dimension {name!r} has length {length}")
+        if name in seen:
+            raise DuplicateName(f"dimension {name!r}")
+        seen.add(name)
+        dims.append(DimensionDef(name, length))
+        lengths.append(length)
+    gatts, pos = _read_att_list(buf, pos, end, version, None)
+    n, pos = _read_list_head(
+        buf, pos, end, pair, TAG_VARIABLES, 3 * cw + 4 + tail.size, "variable"
+    )
     vars_ = []
-    if n:
-        if tag != TAG_VARIABLES:
-            raise CorruptHeader(f"variable list tagged {tag:#x}")
-        for _ in range(n):
-            name = r.name()
-            ndims = r.count()
-            refs = tuple(r.count() for _ in range(ndims))
-            atts = _read_atts(r)
-            try:
-                type_tag = TypeTag(r.u32())
-            except ValueError as exc:
-                raise CorruptHeader(str(exc)) from exc
-            vsize = r.count()
-            begin = r.offset()
-            vars_.append(VariableDef(name, refs, type_tag, atts, begin, vsize))
-    elif tag != 0:
-        raise CorruptHeader(f"empty list with tag {tag:#x}")
-    header = Header(tuple(dims), gatts, tuple(vars_))
-    _validate_header(header)
-    return header, r.pos
+    seen = set()
+    last_end = 0
+    ordered = True  # begins ascend without overlap, so no sort is needed
+    for _ in range(n):
+        name, pos = _read_name(buf, pos, end, cnt)
+        if name in seen:
+            raise DuplicateName(f"variable {name!r}")
+        seen.add(name)
+        if pos + cw > end:
+            raise Truncated(f"need a dimension id count at offset {pos}")
+        ndims = cnt.unpack_from(buf, pos)[0]
+        pos += cw
+        if pos + ndims * cw > end:
+            raise Truncated(f"dimension ids at offset {pos} run past the end")
+        refs = struct.unpack_from(f">{ndims}{code}", buf, pos)
+        pos += ndims * cw
+        size = 1
+        for ref in refs:
+            if ref >= len(lengths):
+                raise DanglingDimRef(f"variable {name!r} references dim {ref}")
+            size *= lengths[ref]
+        atts, pos = _read_att_list(buf, pos, end, version, name)
+        if pos + tail.size > end:
+            raise Truncated(f"need a variable type, size and begin at offset {pos}")
+        tag, vsize, begin = tail.unpack_from(buf, pos)
+        pos += tail.size
+        entry = TYPES.get(tag)
+        if entry is None:
+            raise CorruptHeader(f"unknown type tag {tag} for variable {name!r}")
+        size *= entry[1]
+        size += -size & 3
+        if vsize != size:
+            raise CorruptHeader(f"variable {name!r} vsize {vsize}, expected {size}")
+        vars_.append(VariableDef(name, refs, entry[0], atts, begin, vsize))
+        ordered = ordered and begin >= last_end
+        last_end = begin + vsize
+    if not ordered:
+        _check_regions(vars_)
+    return Header(tuple(dims), gatts, tuple(vars_)), pos
 
 
 def decode_classic(buf: bytes) -> Header:
@@ -450,17 +468,20 @@ def decode_classic(buf: bytes) -> Header:
     if buf[:3] != MAGIC_PREFIX or buf[3] not in SUPPORTED_VERSIONS:
         raise BadMagic(f"not a classic header: {buf[:4]!r}")
     version = buf[3]
-    r = _Reader(buf, version, 4)
-    numrecs = r.count()
+    cnt = _WIDTHS[version][0]
+    if len(buf) < 4 + cnt.size:
+        raise Truncated("need the record count")
+    numrecs = cnt.unpack_from(buf, 4)[0]
     if numrecs != 0:
         raise UnsupportedFeature(f"record count {numrecs} unsupported")
-    header, _ = decode_header_lists(buf, version, r.pos)
+    header, _ = decode_header_lists(buf, version, 4 + cnt.size)
     return header
 
 
 def encoded_size(header: Header, version: int = DEFAULT_VERSION) -> int:
     """Byte size of encode_classic output, computed without encoding."""
-    cw = _count_width(version)
+    cnt, _, tail, _, _, _ = _WIDTHS[version]
+    cw = cnt.size
     size = 4 + cw  # magic + numrecs
 
     def name_size(text: str) -> int:
@@ -485,7 +506,7 @@ def encoded_size(header: Header, version: int = DEFAULT_VERSION) -> int:
     for var in header.vars:
         size += name_size(var.name) + cw + cw * len(var.dim_refs)
         size += atts_size(var.attributes)
-        size += 4 + cw + _offset_width(version)
+        size += tail.size
     return size
 
 

@@ -28,6 +28,7 @@ from .classic import (
     encode_header_lists,
     encoded_size,
     pad4,
+    validate_name,
 )
 from .errors import (
     BadMagic,
@@ -76,17 +77,6 @@ class MetadataBlock:
     content: Header
 
 
-def validate_block_path(path: str) -> None:
-    """Paths are printable ASCII without edge or doubled slashes; '' is the root."""
-    if path == "":
-        return
-    for ch in path:
-        if not (0x20 <= ord(ch) <= 0x7E):
-            raise CorruptHeader(f"non-printable character in block path {path!r}")
-    if path.startswith("/") or path.endswith("/") or "//" in path:
-        raise CorruptHeader(f"malformed block path {path!r}")
-
-
 def split_full_name(full_name: str) -> tuple[str, str]:
     """Split 'a/b/name' into block path 'a/b' and local name; no slash -> root block."""
     if "/" not in full_name:
@@ -100,6 +90,8 @@ def join_full_name(block_path: str, local: str) -> str:
 
 
 def _pack_path(path: str) -> bytes:
+    if path:  # '' is the root block
+        validate_name(path)
     raw = path.encode("ascii")
     return struct.pack(">Q", len(raw)) + raw + b"\x00" * pad4(len(raw))
 
@@ -123,6 +115,8 @@ def _read_path(buf: bytes, pos: int, what: str) -> tuple[str, int]:
         path = buf[pos : pos + path_len].decode("ascii")
     except UnicodeDecodeError as exc:
         raise CorruptHeader(f"non-ASCII {what} path at offset {pos}") from exc
+    if path:
+        validate_name(path)
     return path, pos + padded
 
 
@@ -132,8 +126,6 @@ def index_table_encoded_size(paths) -> int:
 
 def _check_table(table: IndexTable) -> None:
     paths = [e.block_path for e in table.entries]
-    for path in paths:
-        validate_block_path(path)
     if len(set(paths)) != len(paths):
         raise DuplicateName("duplicate block path in index table")
     if paths != sorted(paths):
@@ -203,7 +195,6 @@ def block_encoded_size(block: MetadataBlock) -> int:
 
 def encode_block(block: MetadataBlock) -> bytes:
     """Encode one block: path record followed by the classic object lists."""
-    validate_block_path(block.block_path)
     for dim in block.content.dims:
         if "/" in dim.name:
             raise CorruptHeader(f"block-local name {dim.name!r} contains '/'")
@@ -217,7 +208,6 @@ def encode_block(block: MetadataBlock) -> bytes:
 
 def decode_block(buf: bytes) -> MetadataBlock:
     path, pos = _read_path(buf, 0, "block")
-    validate_block_path(path)
     content, _ = decode_header_lists(buf, _BLOCK_VERSION, pos)
     return MetadataBlock(path, content)
 

@@ -22,7 +22,7 @@ import zlib
 from dataclasses import dataclass
 from enum import IntEnum
 
-from .classic import AttributeDef, TypeTag, pack_values
+from .classic import TYPES, AttributeDef, TypeTag, pack_values
 from .errors import CorruptHeader, Truncated
 
 
@@ -56,10 +56,6 @@ _U32 = struct.Struct(">I")
 _U32X2 = struct.Struct(">II")
 _U64 = struct.Struct(">Q")
 KINDS = {int(k): k for k in ObjectKind}
-# type tag value -> (tag, item size, struct code); CHAR values stay bytes
-_TYPES = {
-    int(t): (t, t.itemsize, None if t is TypeTag.CHAR else t.struct_char) for t in TypeTag
-}
 
 
 def digest64(data: bytes) -> int:
@@ -115,7 +111,7 @@ def _read_typed_values(buf: bytes, pos: int, end: int) -> tuple[TypeTag, tuple |
     if pos + 8 > end:
         raise Truncated(f"record needs an attribute type and count at offset {pos}")
     tag, nelems = _U32X2.unpack_from(buf, pos)
-    entry = _TYPES.get(tag)
+    entry = TYPES.get(tag)
     if entry is None:
         raise CorruptHeader(f"unknown type tag {tag} at offset {pos}")
     type_tag, itemsize, fmt = entry
@@ -154,7 +150,7 @@ def decode_record(buf: bytes) -> tuple[ObjectKind, str, Payload]:
         if pos + 8 > end:
             raise Truncated(f"record needs a variable type and rank at offset {pos}")
         tag, ndims = _U32X2.unpack_from(buf, pos)
-        entry = _TYPES.get(tag)
+        entry = TYPES.get(tag)
         if entry is None:
             raise CorruptHeader(f"unknown type tag {tag} at offset {pos}")
         pos += 8

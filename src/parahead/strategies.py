@@ -148,9 +148,6 @@ class FileImage:
         with open(path, "wb") as fh:
             fh.write(self.to_bytes())
 
-    def __len__(self) -> int:
-        return len(self._data)
-
 
 @dataclass(frozen=True)
 class RunResult:
@@ -169,9 +166,6 @@ class MemoryMeter:
         self.held += nbytes
         if self.held > self.high_watermark:
             self.high_watermark = self.held
-
-    def release(self, nbytes: int) -> None:
-        self.held -= nbytes
 
     def release_all(self) -> None:
         self.held = 0
@@ -478,17 +472,17 @@ def run_new_format(
             # the error stands if no other rank claims the block.
             contents: dict[str, Header] = {}
             unresolved: dict[str, DanglingDimRef] = {}
-            own_facts = []
+            own_facts: dict[str, tuple[BlockStats, int, int]] = {}
             for p, objs in own_blocks.items():
                 digest = digest64(b"".join(o.record for o in objs))
                 try:
                     contents[p] = build_classic_header(_defs(objs), p)
                 except DanglingDimRef as exc:
                     unresolved[p] = exc
-                    own_facts.append((BlockStats(p, 0, 0, 0, 0), 0, digest))
+                    own_facts[p] = (BlockStats(p, 0, 0, 0, 0), 0, digest)
                 else:
-                    own_facts.append((*_block_facts(p, contents[p]), digest))
-            gathered_proto = comm.allgatherv(rank, _pack_proto(own_facts))
+                    own_facts[p] = (*_block_facts(p, contents[p]), digest)
+            gathered_proto = comm.allgatherv(rank, _pack_proto(list(own_facts.values())))
             ctx.meter.acquire(sum(len(g) for g in gathered_proto))
 
         with ctx.phase("consistency_check"):
@@ -531,12 +525,19 @@ def run_new_format(
                 merged_shared[path].append(rec.payload_ref)
 
         with ctx.phase("header_write"):
-            # shared blocks are rebuilt from their merged records
+            # A shared block is rebuilt from its merged records, unless they
+            # are this rank's own records in its own order.
             for path in sorted(claims):
                 if path in shared_paths:
-                    defs = (decode_record(rec) for rec in merged_shared[path])
-                    contents[path] = build_classic_header(defs, path)
-                    facts[path] = _block_facts(path, contents[path])
+                    merged = merged_shared[path]
+                    if path in unresolved or merged != [
+                        o.record for o in own_blocks.get(path, ())
+                    ]:
+                        defs = (decode_record(rec) for rec in merged)
+                        contents[path] = build_classic_header(defs, path)
+                        facts[path] = _block_facts(path, contents[path])
+                    else:
+                        facts[path] = own_facts[path][:2]
                 elif path in unresolved:
                     raise unresolved[path]
             table = layout_from_stats([stats for stats, _ in facts.values()], align)
@@ -674,23 +675,7 @@ class HeaderHandle:
         except ParaheadError as exc:
             raise type(exc)(f"block {path!r}: {exc}") from exc
         check_block_entry(entry, block)
-        content = block.content
-        objects: dict = {}
-        prefix = f"{path}/" if path else ""
-        full_dim_names = [prefix + d.name for d in content.dims]
-        for i, dim in enumerate(content.dims):
-            objects[(ObjectKind.DIMENSION, dim.name)] = (i, DimPayload(dim.length))
-        for i, var in enumerate(content.vars):
-            dim_names = tuple(full_dim_names[r] for r in var.dim_refs)
-            objects[(ObjectKind.VARIABLE, var.name)] = (
-                i,
-                VarPayload(var.type_tag, dim_names, var.attributes),
-            )
-        for i, att in enumerate(content.global_atts):
-            objects[(ObjectKind.ATTRIBUTE, att.name)] = (
-                i,
-                AttPayload(att.type_tag, att.values),
-            )
+        objects = _object_map(block.content, f"{path}/" if path else "")
         self._cache[path] = objects
         return objects
 
@@ -737,19 +722,26 @@ def read_full_header(handle: HeaderHandle) -> dict:
 # --- logical object maps (cross-format and cross-strategy comparison) ---------
 
 
-def logical_map_from_classic(header: Header) -> dict:
-    """Layout-independent view of a classic header: definitions only."""
+def _object_map(header: Header, prefix: str = "") -> dict:
+    """(kind, stored name) -> (list position, payload) for every object of a
+    decoded header; ``prefix`` goes before a variable's dimension names."""
     out = {}
-    for dim in header.dims:
-        out[(ObjectKind.DIMENSION, dim.name)] = DimPayload(dim.length)
-    for att in header.global_atts:
-        out[(ObjectKind.ATTRIBUTE, att.name)] = AttPayload(att.type_tag, att.values)
-    for var in header.vars:
-        dim_names = tuple(header.dims[r].name for r in var.dim_refs)
-        out[(ObjectKind.VARIABLE, var.name)] = VarPayload(
-            var.type_tag, dim_names, var.attributes
+    for i, dim in enumerate(header.dims):
+        out[(ObjectKind.DIMENSION, dim.name)] = (i, DimPayload(dim.length))
+    for i, att in enumerate(header.global_atts):
+        out[(ObjectKind.ATTRIBUTE, att.name)] = (i, AttPayload(att.type_tag, att.values))
+    dim_names = [prefix + d.name for d in header.dims]
+    for i, var in enumerate(header.vars):
+        refs = tuple(dim_names[r] for r in var.dim_refs)
+        out[(ObjectKind.VARIABLE, var.name)] = (
+            i, VarPayload(var.type_tag, refs, var.attributes)
         )
     return out
+
+
+def logical_map_from_classic(header: Header) -> dict:
+    """Layout-independent view of a classic header: definitions only."""
+    return {key: payload for key, (_, payload) in _object_map(header).items()}
 
 
 def logical_map_from_image(image_bytes: bytes) -> dict:

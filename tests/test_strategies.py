@@ -473,8 +473,20 @@ def test_new_format_decodes_no_own_record(monkeypatch):
     assert _decodes_per_rank(monkeypatch, gen_workload(small_spec())) == {}
 
 
+def _with_own_part_of_shared_block(workload) -> Workload:
+    """Each rank also defines a dimension of block "shared" that no other rank has."""
+    per_rank = tuple(
+        defs + (Definition(DIM, f"shared/extra{rank}", DimPayload(rank + 1)),)
+        for rank, defs in enumerate(workload.per_rank)
+    )
+    return Workload(workload.spec, per_rank)
+
+
 def test_new_format_decodes_each_merged_shared_record_once(monkeypatch):
-    workload = gen_workload(small_spec(shared_fraction=0.5, seed=21))
+    # every rank's part of the shared block differs from the merged block
+    workload = _with_own_part_of_shared_block(
+        gen_workload(small_spec(shared_fraction=0.5, seed=21))
+    )
     claims: dict = {}
     for rank, defs in enumerate(workload.per_rank):
         for d in defs:
@@ -490,6 +502,49 @@ def test_new_format_decodes_each_merged_shared_record_once(monkeypatch):
     assert len(calls) == workload.nranks
     for recs in calls.values():
         assert sorted(recs) == sorted(merged_shared)
+
+
+def _builds_per_rank(monkeypatch, workload) -> dict:
+    """Block paths each rank thread passes to build_classic_header in new_format."""
+    import threading
+
+    from parahead import strategies
+
+    builds: dict = {}
+    original = strategies.build_classic_header
+
+    def counting(defs, path=""):
+        builds.setdefault(threading.current_thread().name, []).append(path)
+        return original(defs, path)
+
+    monkeypatch.setattr(strategies, "build_classic_header", counting)
+    run_new_format(workload, 64)
+    return builds
+
+
+def test_new_format_builds_identical_shared_blocks_once(monkeypatch):
+    # every rank defines the shared block identically: its exchange-phase
+    # build is the merged block, so nothing is rebuilt or decoded
+    workload = gen_workload(small_spec(shared_fraction=0.5, seed=21))
+    builds = _builds_per_rank(monkeypatch, workload)
+    assert len(builds) == workload.nranks
+    for rank, defs in enumerate(workload.per_rank):
+        own = {split_full_name(d.full_name)[0] for d in defs}
+        assert "shared" in own
+        assert sorted(builds[f"rank-{rank}"]) == sorted(own)
+    assert _decodes_per_rank(monkeypatch, workload) == {}
+
+
+def test_new_format_rebuilds_shared_block_with_other_ranks_objects(monkeypatch):
+    workload = _with_own_part_of_shared_block(
+        gen_workload(small_spec(shared_fraction=0.5, seed=21))
+    )
+    builds = _builds_per_rank(monkeypatch, workload)
+    for rank, defs in enumerate(workload.per_rank):
+        own = {split_full_name(d.full_name)[0] for d in defs}
+        assert sorted(builds[f"rank-{rank}"]) == sorted([*own, "shared"])
+    new = logical_map_from_image(run_new_format(workload, 64).image.to_bytes())
+    assert new == workload_logical_map(workload)
 
 
 def test_classic_header_build_decodes_each_merged_record_once(monkeypatch):
