@@ -1,6 +1,7 @@
-"""Fixtures for the codec micro-benchmarks: a header shaped like the benchmark's
+"""Fixtures for the micro-benchmarks: a header shaped like the benchmark's
 ``shared-blocks-p4`` workload (64 shared plus 4 x 256 private blocks, each of
-6 dimensions and 4 variables that carry one 8-byte CHAR attribute)."""
+6 dimensions and 4 variables that carry one 8-byte CHAR attribute), and a
+512-block partitioned file of blocks of the same shape."""
 
 from __future__ import annotations
 
@@ -18,7 +19,13 @@ from parahead.classic import (
     encode_classic,
     encoded_size,
 )
-from parahead.newformat import MetadataBlock, encode_block, flatten_blocks, partition_header
+from parahead.newformat import (
+    MetadataBlock,
+    assemble_image,
+    encode_block,
+    flatten_blocks,
+    partition_header,
+)
 
 
 def _block_content(rng: random.Random) -> Header:
@@ -58,3 +65,18 @@ def shared_blocks(shared_header) -> list[MetadataBlock]:
 @pytest.fixture(scope="session")
 def shared_block_bytes(shared_blocks) -> list[bytes]:
     return [encode_block(b) for b in shared_blocks]
+
+
+@pytest.fixture(scope="session")
+def blocks_512() -> list[MetadataBlock]:
+    rng = random.Random(2)
+    contents = [_block_content(rng) for _ in range(512)]
+    return [
+        MetadataBlock(f"ev{b:05d}", compute_offsets(c, encoded_size(c, 5), 4, version=5))
+        for b, c in enumerate(contents)
+    ]
+
+
+@pytest.fixture(scope="session")
+def image_512(blocks_512) -> bytes:
+    return assemble_image(blocks_512)

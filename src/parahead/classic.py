@@ -149,6 +149,9 @@ TYPES = {
     int(t): (t, t.itemsize, None if t is TypeTag.CHAR else t.struct_char) for t in TypeTag
 }
 _PADS = (b"", b"\x00", b"\x00\x00", b"\x00\x00\x00")  # indexed by pad length
+# What packing a value of the wrong type or range raises (300 as a BYTE, 2.5 as
+# a length); encoders catch them around the whole encode, not per value.
+VALUE_ERRORS = (struct.error, TypeError, ValueError, OverflowError, AttributeError)
 
 
 def validate_name(name: str) -> None:
@@ -298,8 +301,11 @@ def encode_header_lists(header: Header, version: int) -> bytes:
 
 def encode_classic(header: Header, version: int = DEFAULT_VERSION) -> bytes:
     """Encode a header as classic-format bytes.  Deterministic for equal inputs."""
-    lists = encode_header_lists(header, version)
-    return MAGIC_PREFIX + bytes([version]) + _WIDTHS[version][0].pack(0) + lists
+    try:
+        lists = encode_header_lists(header, version)
+        return MAGIC_PREFIX + bytes([version]) + _WIDTHS[version][0].pack(0) + lists
+    except VALUE_ERRORS as exc:
+        raise UnrepresentableValue(f"header value cannot be encoded: {exc}") from exc
 
 
 # --- decoding ------------------------------------------------------------------

@@ -19,9 +19,11 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from .classic import (
     DEFAULT_ALIGN,
+    VALUE_ERRORS,
     Header,
     align_up,
     decode_header_lists,
@@ -46,12 +48,14 @@ from .records import ObjectKind
 INDEX_MAGIC = b"CDH\x01"
 
 _BLOCK_VERSION = 5  # block lists always use 64-bit counts
-_ENTRY_FIXED = 5 * 8  # offset, size, n_dims, n_vars, n_atts
+_U64 = struct.Struct(">Q")
+_COUNTS = struct.Struct(">QQ")  # entry count, header_reserve
+_ENTRY = struct.Struct(">QQQQQ")  # offset, size, n_dims, n_vars, n_atts
+_ENTRY_NEXT = struct.Struct(">QQQQQQ")  # the same, then the next entry's path length
 
 
-@dataclass(frozen=True)
-class IndexEntry:
-    """Directory record for one metadata block."""
+class IndexEntry(NamedTuple):
+    """Directory record for one metadata block (a tuple: each open makes one per block)."""
 
     block_path: str
     offset: int
@@ -93,48 +97,45 @@ def _pack_path(path: str) -> bytes:
     if path:  # '' is the root block
         validate_name(path)
     raw = path.encode("ascii")
-    return struct.pack(">Q", len(raw)) + raw + b"\x00" * pad4(len(raw))
+    return _U64.pack(len(raw)) + raw + b"\x00" * pad4(len(raw))
 
 
 def _path_record_size(path: str) -> int:
     return 8 + len(path) + pad4(len(path))
 
 
-def _read_path(buf: bytes, pos: int, what: str) -> tuple[str, int]:
-    """Decode a path record at ``pos``; returns (path, end of the record)."""
-    if len(buf) < pos + 8:
-        raise Truncated(f"{what} path length missing")
-    (path_len,) = struct.unpack_from(">Q", buf, pos)
-    pos += 8
-    padded = path_len + pad4(path_len)
-    if len(buf) < pos + padded:
-        raise Truncated(f"{what} path cut short")
-    if buf[pos + path_len : pos + padded].strip(b"\x00"):
+def _path_at(buf: bytes, pos: int, path_len: int, what: str) -> str:
+    """The path of ``path_len`` bytes at ``pos``, checked: zero padding, ASCII, a name."""
+    stop = pos + path_len
+    if buf[stop : stop + pad4(path_len)].strip(b"\x00"):
         raise CorruptHeader("non-zero block path padding")
     try:
-        path = buf[pos : pos + path_len].decode("ascii")
+        path = buf[pos:stop].decode("ascii")
     except UnicodeDecodeError as exc:
-        raise CorruptHeader(f"non-ASCII {what} path at offset {pos}") from exc
+        raise CorruptHeader(f"non-ASCII {what} path") from exc
     if path:
         validate_name(path)
-    return path, pos + padded
+    return path
 
 
 def index_table_encoded_size(paths) -> int:
-    return len(INDEX_MAGIC) + 16 + sum(_path_record_size(p) + _ENTRY_FIXED for p in paths)
+    return len(INDEX_MAGIC) + 16 + sum(_path_record_size(p) + _ENTRY.size for p in paths)
 
 
-def _check_table(table: IndexTable) -> None:
-    paths = [e.block_path for e in table.entries]
-    if len(set(paths)) != len(paths):
-        raise DuplicateName("duplicate block path in index table")
-    if paths != sorted(paths):
+def _check_table(entries, index_end: int) -> None:
+    """Paths unique and sorted; blocks clear of the index (``index_end``) and
+    of each other.  Linear when paths and offsets ascend, as laid out."""
+    pairs = zip(entries, entries[1:])
+    if any(a.block_path >= b.block_path for a, b in pairs):
+        paths = [e.block_path for e in entries]
+        if len(set(paths)) != len(paths):
+            raise DuplicateName("duplicate block path in index table")
         raise UnsortedIndex("index entries not sorted by block path")
-    regions = sorted((e.offset, e.offset + e.size, e.block_path) for e in table.entries)
-    index_end = index_table_encoded_size(paths)
-    for start, end, path in regions:
-        if start < index_end:
-            raise OverlappingBlocks(f"block {path!r} overlaps the index table")
+    regions = [(e.offset, e.offset + e.size, e.block_path) for e in entries]
+    if any(a[0] >= b[0] for a, b in zip(regions, regions[1:])):
+        regions.sort()
+    if regions and regions[0][0] < index_end:
+        raise OverlappingBlocks(f"block {regions[0][2]!r} overlaps the index table")
     for (_, end_a, path_a), (start_b, _, path_b) in zip(regions, regions[1:]):
         if start_b < end_a:
             raise OverlappingBlocks(f"blocks {path_a!r} and {path_b!r} overlap")
@@ -143,48 +144,65 @@ def _check_table(table: IndexTable) -> None:
 def encode_index_table(table: IndexTable) -> bytes:
     """Serialize an index table; entries are emitted in path-sorted order."""
     ordered = tuple(sorted(table.entries, key=lambda e: e.block_path))
-    table = IndexTable(ordered, table.header_reserve)
-    _check_table(table)
+    _check_table(ordered, index_table_encoded_size(e.block_path for e in ordered))
     try:
-        parts = [INDEX_MAGIC, struct.pack(">QQ", len(table.entries), table.header_reserve)]
-        for e in table.entries:
+        parts = [INDEX_MAGIC, _COUNTS.pack(len(ordered), table.header_reserve)]
+        for e in ordered:
             parts.append(_pack_path(e.block_path))
-            parts.append(
-                struct.pack(">QQQQQ", e.offset, e.size, e.n_dims, e.n_vars, e.n_atts)
-            )
+            parts.append(_ENTRY.pack(e.offset, e.size, e.n_dims, e.n_vars, e.n_atts))
     except struct.error as exc:
         raise UnrepresentableValue(f"index field out of range: {exc}") from exc
     return b"".join(parts)
 
 
+class BytesSource:
+    """Random-access reads over an in-memory image."""
+
+    def __init__(self, data: bytes):
+        self._data = bytes(data)
+
+    def read(self, offset: int, length: int) -> bytes:
+        if offset + length > len(self._data):
+            raise Truncated(f"read past end: {offset}+{length} > {len(self._data)}")
+        return self._data[offset : offset + length]
+
+
+def read_index_table(read) -> IndexTable:
+    """Decode and validate the index table through ``read(offset, length)``,
+    which returns exactly ``length`` bytes or raises.
+
+    The magic comes first, so another format raises BadMagic before any
+    walk; then the counts, the first path length, and one read per entry:
+    its padded path, its fixed fields and the next entry's path length.
+    """
+    magic = read(0, len(INDEX_MAGIC))
+    if magic != INDEX_MAGIC:
+        raise BadMagic(f"not an index table: {magic!r}")
+    count, header_reserve = _COUNTS.unpack(read(4, _COUNTS.size))
+    pos = 4 + _COUNTS.size
+    if count:
+        (path_len,) = _U64.unpack(read(pos, 8))
+        pos += 8
+    entries = []
+    for left in range(count - 1, -1, -1):
+        padded = path_len + (-path_len & 3)
+        fixed = _ENTRY_NEXT if left else _ENTRY
+        raw = read(pos, padded + fixed.size)
+        pos += padded + fixed.size
+        path = _path_at(raw, 0, path_len, "index entry")
+        if left:
+            offset, size, n_dims, n_vars, n_atts, path_len = fixed.unpack_from(raw, padded)
+        else:
+            offset, size, n_dims, n_vars, n_atts = fixed.unpack_from(raw, padded)
+        entries.append(IndexEntry(path, offset, size, n_dims, n_vars, n_atts))
+    entries = tuple(entries)
+    _check_table(entries, pos)
+    return IndexTable(entries, header_reserve)
+
+
 def decode_index_table(buf: bytes) -> IndexTable:
     """Decode and validate an index table; trailing (block) bytes are ignored."""
-    table, _ = decode_index_table_prefix(buf)
-    return table
-
-
-def decode_index_table_prefix(buf: bytes) -> tuple[IndexTable, int]:
-    """Decode the index table and report how many bytes it occupied."""
-    if len(buf) < 4:
-        raise Truncated("shorter than the magic")
-    if buf[:4] != INDEX_MAGIC:
-        raise BadMagic(f"not an index table: {buf[:4]!r}")
-    pos = 4
-    if len(buf) < pos + 16:
-        raise Truncated("index table counts missing")
-    count, header_reserve = struct.unpack_from(">QQ", buf, pos)
-    pos += 16
-    entries = []
-    for _ in range(count):
-        path, pos = _read_path(buf, pos, "index entry")
-        if len(buf) < pos + _ENTRY_FIXED:
-            raise Truncated("index entry cut short")
-        fields = struct.unpack_from(">QQQQQ", buf, pos)
-        pos += _ENTRY_FIXED
-        entries.append(IndexEntry(path, *fields))
-    table = IndexTable(tuple(entries), header_reserve)
-    _check_table(table)
-    return table, pos
+    return read_index_table(BytesSource(buf).read)
 
 
 def block_encoded_size(block: MetadataBlock) -> int:
@@ -195,20 +213,29 @@ def block_encoded_size(block: MetadataBlock) -> int:
 
 def encode_block(block: MetadataBlock) -> bytes:
     """Encode one block: path record followed by the classic object lists."""
-    for dim in block.content.dims:
-        if "/" in dim.name:
-            raise CorruptHeader(f"block-local name {dim.name!r} contains '/'")
-    for var in block.content.vars:
-        if "/" in var.name:
-            raise CorruptHeader(f"block-local name {var.name!r} contains '/'")
-    return _pack_path(block.block_path) + encode_header_lists(
-        block.content, _BLOCK_VERSION
-    )
+    try:
+        for dim in block.content.dims:
+            if "/" in dim.name:
+                raise CorruptHeader(f"block-local name {dim.name!r} contains '/'")
+        for var in block.content.vars:
+            if "/" in var.name:
+                raise CorruptHeader(f"block-local name {var.name!r} contains '/'")
+        return _pack_path(block.block_path) + encode_header_lists(
+            block.content, _BLOCK_VERSION
+        )
+    except VALUE_ERRORS as exc:
+        raise UnrepresentableValue(f"block value cannot be encoded: {exc}") from exc
 
 
 def decode_block(buf: bytes) -> MetadataBlock:
-    path, pos = _read_path(buf, 0, "block")
-    content, _ = decode_header_lists(buf, _BLOCK_VERSION, pos)
+    if len(buf) < 8:
+        raise Truncated("block path length missing")
+    (path_len,) = _U64.unpack_from(buf, 0)
+    lists = 8 + path_len + pad4(path_len)
+    if len(buf) < lists:
+        raise Truncated("block path cut short")
+    path = _path_at(buf, 8, path_len, "block")
+    content, _ = decode_header_lists(buf, _BLOCK_VERSION, lists)
     return MetadataBlock(path, content)
 
 
@@ -289,13 +316,12 @@ def check_block_entry(entry: IndexEntry, block: MetadataBlock) -> None:
 
 def decode_image(buf: bytes) -> tuple[IndexTable, dict[str, MetadataBlock]]:
     """Decode a full image and cross-check every entry against its block."""
-    table = decode_index_table(buf)
+    read = BytesSource(buf).read
+    table = read_index_table(read)
     blocks: dict[str, MetadataBlock] = {}
     for entry in table.entries:
-        if entry.offset + entry.size > len(buf):
-            raise Truncated(f"block {entry.block_path!r} extends past the image")
         try:
-            block = decode_block(buf[entry.offset : entry.offset + entry.size])
+            block = decode_block(read(entry.offset, entry.size))
         except ParaheadError as exc:
             raise type(exc)(f"block {entry.block_path!r}: {exc}") from exc
         check_block_entry(entry, block)

@@ -22,8 +22,8 @@ import zlib
 from dataclasses import dataclass
 from enum import IntEnum
 
-from .classic import TYPES, AttributeDef, TypeTag, pack_values
-from .errors import CorruptHeader, Truncated
+from .classic import TYPES, VALUE_ERRORS, AttributeDef, TypeTag, pack_values
+from .errors import CorruptHeader, Truncated, UnrepresentableValue
 
 
 class ObjectKind(IntEnum):
@@ -75,21 +75,25 @@ def _pack_att_body(type_tag: TypeTag, values) -> bytes:
 
 
 def encode_record(kind: ObjectKind, full_name: str, payload: Payload) -> bytes:
-    parts = [bytes([kind]), _pack_name(full_name)]
-    if kind is ObjectKind.DIMENSION:
-        parts.append(struct.pack(">Q", payload.length))
-    elif kind is ObjectKind.VARIABLE:
-        parts.append(struct.pack(">II", int(payload.type_tag), len(payload.dim_names)))
-        for dim_name in payload.dim_names:
-            parts.append(_pack_name(dim_name))
-        parts.append(struct.pack(">I", len(payload.attributes)))
-        for att in payload.attributes:
-            parts.append(_pack_name(att.name))
-            parts.append(_pack_att_body(att.type_tag, att.values))
-    elif kind is ObjectKind.ATTRIBUTE:
-        parts.append(_pack_att_body(payload.type_tag, payload.values))
-    else:
-        raise ValueError(f"unknown kind {kind!r}")
+    """Canonical record of a definition; bad values raise UnrepresentableValue."""
+    try:
+        parts = [bytes([kind]), _pack_name(full_name)]
+        if kind is ObjectKind.DIMENSION:
+            parts.append(struct.pack(">Q", payload.length))
+        elif kind is ObjectKind.VARIABLE:
+            parts.append(struct.pack(">II", int(payload.type_tag), len(payload.dim_names)))
+            for dim_name in payload.dim_names:
+                parts.append(_pack_name(dim_name))
+            parts.append(struct.pack(">I", len(payload.attributes)))
+            for att in payload.attributes:
+                parts.append(_pack_name(att.name))
+                parts.append(_pack_att_body(att.type_tag, att.values))
+        elif kind is ObjectKind.ATTRIBUTE:
+            parts.append(_pack_att_body(payload.type_tag, payload.values))
+        else:
+            raise UnrepresentableValue(f"unknown kind {kind!r}")
+    except VALUE_ERRORS as exc:
+        raise UnrepresentableValue(f"record value cannot be encoded: {exc}") from exc
     return b"".join(parts)
 
 

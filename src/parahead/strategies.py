@@ -34,7 +34,6 @@ from .classic import (
     decode_classic,
     encode_classic,
     encoded_size,
-    pad4,
     var_size_bytes,
 )
 from .comm import SimComm, run_ranks
@@ -45,7 +44,6 @@ from .consistency import (
     sort_check,
 )
 from .errors import (
-    BadMagic,
     ConsistencyError,
     DanglingDimRef,
     NoSuchObject,
@@ -53,19 +51,18 @@ from .errors import (
     Truncated,
 )
 from .newformat import (
-    INDEX_MAGIC,
     BlockStats,
+    BytesSource,
     IndexTable,
     MetadataBlock,
     block_stats,
     check_block_entry,
     decode_block,
-    decode_index_table_prefix,
     encode_block,
     encode_index_table,
     gid_bases,
-    join_full_name,
     layout_from_stats,
+    read_index_table,
     split_full_name,
 )
 from .records import (
@@ -569,14 +566,7 @@ def run_new_format(
             bases = gid_bases(table.entries)
             gids: dict = {}
             for path, content in contents.items():
-                base = bases[path]
-                for kind, objs in (
-                    (ObjectKind.DIMENSION, content.dims),
-                    (ObjectKind.VARIABLE, content.vars),
-                    (ObjectKind.ATTRIBUTE, content.global_atts),
-                ):
-                    for i, obj in enumerate(objs):
-                        gids[(kind, join_full_name(path, obj.name))] = base[kind] + i
+                _add_gids(gids, path, content, bases[path])
             store.finalize_gids(gids)
 
         with ctx.phase("close_free"):
@@ -592,25 +582,17 @@ def run_new_format(
 # --- read path --------------------------------------------------------------
 
 
-class BytesSource:
-    """Random-access reads over an in-memory image."""
-
-    def __init__(self, data: bytes):
-        self._data = bytes(data)
-
-    def read(self, offset: int, length: int) -> bytes:
-        if offset + length > len(self._data):
-            raise Truncated(f"read past end: {offset}+{length} > {len(self._data)}")
-        return self._data[offset : offset + length]
-
-
 class FileSource:
     """Random-access reads over an on-disk file."""
 
     def __init__(self, path):
         self._fh = open(path, "rb")
+        self._size = os.fstat(self._fh.fileno()).st_size
 
     def read(self, offset: int, length: int) -> bytes:
+        # checked before reading: a corrupt length must not become a huge buffer
+        if offset + length > self._size:
+            raise Truncated(f"read past end: {offset}+{length} > {self._size}")
         self._fh.seek(offset)
         out = self._fh.read(length)
         if len(out) != length:
@@ -622,32 +604,21 @@ class FileSource:
 
 
 class HeaderHandle:
-    """Open partitioned-header file: index cached, blocks loaded on demand."""
+    """Open partitioned-header file: index cached, blocks loaded on demand.
+
+    A block is read and checked once, by the first lookup or full read that
+    needs it; its lookup map and GIDs are made from its content on first use.
+    """
 
     def __init__(self, source):
         self._source = source
         self.io_bytes_read = 0
-        self._table = self._read_index()
+        self._table = read_index_table(self._take)
         self._entries = {e.block_path: e for e in self._table.entries}
-        self._cache: dict[str, dict] = {}
-        self._gid_base = gid_bases(self._table.entries)
-
-    def _read_index(self) -> IndexTable:
-        magic = self._take(0, len(INDEX_MAGIC))
-        if magic != INDEX_MAGIC:
-            raise BadMagic(f"not an index table: {magic!r}")
-        head = self._take(4, 16)  # entry count + header_reserve
-        pos = 20
-        count = struct.unpack(">Q", head[:8])[0]
-        for _ in range(count):
-            (path_len,) = struct.unpack(">Q", self._take(pos, 8))
-            pos += 8
-            padded = path_len + pad4(path_len)
-            self._take(pos, padded + 40)
-            pos += padded + 40
-        table, used = decode_index_table_prefix(self._source.read(0, pos))
-        assert used == pos
-        return table
+        self._contents: dict[str, Header] = {}
+        self._maps: dict[str, dict] = {}
+        self._gids: dict[str, dict] = {}
+        self._gid_base = None  # per-block GID bases, made by the first gid_of
 
     def _take(self, offset: int, length: int) -> bytes:
         out = self._source.read(offset, length)
@@ -660,12 +631,13 @@ class HeaderHandle:
 
     @property
     def blocks_loaded(self) -> int:
-        return len(self._cache)
+        return len(self._contents)
 
-    def _load_block(self, path: str) -> dict:
-        cached = self._cache.get(path)
-        if cached is not None:
-            return cached
+    def _content(self, path: str) -> Header:
+        """Decoded content of block ``path``, read and checked on first use."""
+        content = self._contents.get(path)
+        if content is not None:
+            return content
         entry = self._entries.get(path)
         if entry is None:
             raise NoSuchObject(f"no metadata block {path!r}")
@@ -675,27 +647,38 @@ class HeaderHandle:
         except ParaheadError as exc:
             raise type(exc)(f"block {path!r}: {exc}") from exc
         check_block_entry(entry, block)
-        objects = _object_map(block.content, f"{path}/" if path else "")
-        self._cache[path] = objects
+        self._contents[path] = block.content
+        return block.content
+
+    def _load_block(self, path: str) -> dict:
+        """(kind, full name) -> payload of every object in block ``path``."""
+        objects = self._maps.get(path)
+        if objects is None:
+            objects = _add_payloads({}, self._content(path), path)
+            self._maps[path] = objects
         return objects
 
     def lookup(self, kind: ObjectKind, full_name: str):
         """Payload of one object, loading (and caching) only its block."""
-        path, local = split_full_name(full_name)
-        objects = self._load_block(path)
+        path, _ = split_full_name(full_name)
         try:
-            return objects[(kind, local)][1]
+            return self._load_block(path)[(kind, full_name)]
         except KeyError:
             raise NoSuchObject(f"no {kind.name} named {full_name!r}") from None
 
     def gid_of(self, kind: ObjectKind, full_name: str) -> int:
-        path, local = split_full_name(full_name)
-        objects = self._load_block(path)
+        path, _ = split_full_name(full_name)
+        gids = self._gids.get(path)
+        if gids is None:
+            content = self._content(path)
+            if self._gid_base is None:
+                self._gid_base = gid_bases(self._table.entries)
+            gids = _add_gids({}, path, content, self._gid_base[path])
+            self._gids[path] = gids
         try:
-            position = objects[(kind, local)][0]
+            return gids[(kind, full_name)]
         except KeyError:
             raise NoSuchObject(f"no {kind.name} named {full_name!r}") from None
-        return self._gid_base[path][kind] + position
 
 
 def open_new_format(image, nranks: int = 1) -> list[HeaderHandle]:
@@ -713,35 +696,48 @@ def read_full_header(handle: HeaderHandle) -> dict:
     """Decode every block; returns the (kind, full name) -> payload map."""
     out = {}
     for entry in handle.index_table.entries:
-        objects = handle._load_block(entry.block_path)
-        for (kind, local), (_, payload) in objects.items():
-            out[(kind, join_full_name(entry.block_path, local))] = payload
+        _add_payloads(out, handle._content(entry.block_path), entry.block_path)
     return out
 
 
 # --- logical object maps (cross-format and cross-strategy comparison) ---------
 
 
-def _object_map(header: Header, prefix: str = "") -> dict:
-    """(kind, stored name) -> (list position, payload) for every object of a
-    decoded header; ``prefix`` goes before a variable's dimension names."""
-    out = {}
-    for i, dim in enumerate(header.dims):
-        out[(ObjectKind.DIMENSION, dim.name)] = (i, DimPayload(dim.length))
-    for i, att in enumerate(header.global_atts):
-        out[(ObjectKind.ATTRIBUTE, att.name)] = (i, AttPayload(att.type_tag, att.values))
+def _add_payloads(out: dict, header: Header, path: str = "") -> dict:
+    """Add (kind, full name) -> payload for every object of a decoded header,
+    block ``path``'s content or a flat header, to ``out``."""
+    prefix = f"{path}/" if path else ""
     dim_names = [prefix + d.name for d in header.dims]
-    for i, var in enumerate(header.vars):
+    for name, dim in zip(dim_names, header.dims):
+        out[(ObjectKind.DIMENSION, name)] = DimPayload(dim.length)
+    for att in header.global_atts:
+        out[(ObjectKind.ATTRIBUTE, prefix + att.name)] = AttPayload(att.type_tag, att.values)
+    for var in header.vars:
         refs = tuple(dim_names[r] for r in var.dim_refs)
-        out[(ObjectKind.VARIABLE, var.name)] = (
-            i, VarPayload(var.type_tag, refs, var.attributes)
+        out[(ObjectKind.VARIABLE, prefix + var.name)] = VarPayload(
+            var.type_tag, refs, var.attributes
         )
+    return out
+
+
+def _add_gids(out: dict, path: str, content: Header, base: dict) -> dict:
+    """Add (kind, full name) -> GID for every object of block ``path`` to
+    ``out``: its kind's ``base`` plus its position in the block."""
+    prefix = f"{path}/" if path else ""
+    for kind, objs in (
+        (ObjectKind.DIMENSION, content.dims),
+        (ObjectKind.VARIABLE, content.vars),
+        (ObjectKind.ATTRIBUTE, content.global_atts),
+    ):
+        first = base[kind]
+        for i, obj in enumerate(objs):
+            out[(kind, prefix + obj.name)] = first + i
     return out
 
 
 def logical_map_from_classic(header: Header) -> dict:
     """Layout-independent view of a classic header: definitions only."""
-    return {key: payload for key, (_, payload) in _object_map(header).items()}
+    return _add_payloads({}, header)
 
 
 def logical_map_from_image(image_bytes: bytes) -> dict:

@@ -115,6 +115,20 @@ def test_gen_and_inspect_new_format(tmp_path, capsys):
     )
 
 
+def test_inspect_rejects_a_corrupt_path_length(tmp_path, capsys):
+    # a huge path length in the first index entry is a truncated file, not an
+    # attempt to read 2**62 bytes
+    path = tmp_path / "header.phx"
+    assert main(["gen", "--scale", "0.002", "--ranks", "2", "--seed", "2",
+                 "--format", "new", "--out", str(path)]) == 0
+    raw = bytearray(path.read_bytes())
+    raw[20:28] = (2**62).to_bytes(8, "big")
+    path.write_bytes(bytes(raw))
+    capsys.readouterr()
+    assert main(["inspect", str(path)]) == 1
+    assert "error: read past end" in capsys.readouterr().err
+
+
 def test_gen_and_inspect_classic(tmp_path, capsys):
     path = tmp_path / "header.nc"
     assert main(["gen", "--scale", "0.002", "--ranks", "2", "--seed", "2",

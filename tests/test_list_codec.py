@@ -28,6 +28,7 @@ from parahead.errors import (
     DuplicateName,
     ParaheadError,
     Truncated,
+    UnrepresentableValue,
     UnsupportedFeature,
 )
 from parahead.newformat import (
@@ -37,7 +38,8 @@ from parahead.newformat import (
     decode_index_table,
     encode_block,
 )
-from parahead.records import DimPayload, ObjectKind, VarPayload
+from parahead.records import AttPayload, DimPayload, ObjectKind, VarPayload, encode_record
+from parahead.store import RankStore
 from parahead.strategies import run_lib_baseline, run_new_format
 from parahead.workload import Definition, Workload, WorkloadSpec, gen_workload, spec_for_dataset
 
@@ -315,3 +317,108 @@ def test_overlapping_regions_in_any_order_are_rejected():
         VariableDef(f"v{i}", (0,), TypeTag.INT, (), b, 40) for i, b in enumerate((600, 500, 540))
     ))
     assert decode_classic(encode_classic(disjoint, 5)) == disjoint
+
+
+# --- encoders fail closed -------------------------------------------------------
+
+# Any Python value: what a caller might put in a field by mistake.
+any_value = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
+    | st.binary(max_size=6) | st.sampled_from(list(TypeTag) + list(ObjectKind)),
+    lambda inner: st.lists(inner, max_size=3) | st.lists(inner, max_size=3).map(tuple)
+    | st.dictionaries(st.text(max_size=2), inner, max_size=2),
+    max_leaves=6,
+)
+
+
+def or_any(valid):
+    """A field's well-formed value, or any value at all."""
+    return valid | any_value
+
+
+any_atts = st.builds(
+    AttributeDef,
+    or_any(st.sampled_from("ab")),
+    or_any(st.sampled_from(TypeTag)),
+    or_any(st.lists(st.integers(-200, 200), min_size=1, max_size=2).map(tuple)),
+)
+any_headers = st.builds(
+    Header,
+    st.lists(
+        st.builds(DimensionDef, or_any(st.sampled_from("xy")), or_any(st.integers(1, 9))),
+        max_size=2,
+    ).map(tuple),
+    st.lists(any_atts, max_size=2).map(tuple),
+    st.lists(
+        st.builds(
+            VariableDef,
+            or_any(st.sampled_from("uv")),
+            or_any(st.lists(st.integers(0, 1), max_size=2).map(tuple)),
+            or_any(st.sampled_from(TypeTag)),
+            or_any(st.lists(any_atts, max_size=2).map(tuple)),
+            or_any(st.integers(0, 99)),
+            or_any(st.integers(0, 99)),
+        ),
+        max_size=2,
+    ).map(tuple),
+)
+any_payloads = any_value | st.one_of(
+    st.builds(DimPayload, or_any(st.integers(1, 9))),
+    st.builds(AttPayload, or_any(st.sampled_from(TypeTag)), any_value),
+    st.builds(
+        VarPayload,
+        or_any(st.sampled_from(TypeTag)),
+        or_any(st.lists(st.sampled_from("xy"), max_size=2).map(tuple)),
+        or_any(st.lists(any_atts, max_size=2).map(tuple)),
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(header=any_headers)
+def test_header_encoders_raise_only_parahead_errors_on_any_value(header):
+    for encode in (
+        lambda: encode_classic(header, 5),
+        lambda: encode_classic(header, 1),
+        lambda: encode_block(MetadataBlock("blk", header)),
+    ):
+        try:
+            encode()
+        except ParaheadError:
+            pass
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    kind=or_any(st.sampled_from(ObjectKind)),
+    name=or_any(st.sampled_from(["a", "b/c"])),
+    payload=any_payloads,
+)
+def test_record_encoders_raise_only_parahead_errors_on_any_value(kind, name, payload):
+    for encode in (
+        lambda: encode_record(kind, name, payload),
+        lambda: RankStore(0).define(kind, name, payload),
+    ):
+        try:
+            encode()
+        except ParaheadError:
+            pass
+
+
+@pytest.mark.parametrize(
+    "header",
+    [
+        Header(global_atts=(AttributeDef("a", TypeTag.BYTE, (300,)),)),
+        Header(global_atts=(AttributeDef("a", TypeTag.INT, ("x",)),)),
+        Header(dims=(DimensionDef("x", 2.5),)),
+    ],
+)
+def test_out_of_range_and_non_integer_values_are_unrepresentable(header):
+    with pytest.raises(UnrepresentableValue):
+        encode_classic(header, 5)
+    with pytest.raises(UnrepresentableValue):
+        encode_block(MetadataBlock("blk", header))
+    if header.global_atts:
+        att = header.global_atts[0]
+        with pytest.raises(UnrepresentableValue):
+            encode_record(ObjectKind.ATTRIBUTE, "a", AttPayload(att.type_tag, att.values))

@@ -93,6 +93,40 @@ def test_decode_rejects_unsorted():
         decode_index_table(bytes(swapped))
 
 
+def test_non_adjacent_duplicate_in_unsorted_table_is_a_duplicate():
+    idx_size = index_table_encoded_size(["a", "b", "c"])
+    good = encode_index_table(
+        IndexTable(
+            tuple(make_entry(p, idx_size + 8 * i, 8) for i, p in enumerate("abc")),
+            idx_size + 24,
+        )
+    )
+    # 'a' -> 'c' gives c, b, c: the first pair is out of order, the
+    # duplicate pair is not adjacent
+    raw = bytearray(good)
+    first_path = 20 + 8
+    assert raw[first_path : first_path + 1] == b"a"
+    raw[first_path] = ord("c")
+    with pytest.raises(DuplicateName):
+        decode_index_table(bytes(raw))
+
+
+def test_regions_checked_when_offsets_do_not_follow_paths():
+    idx_size = index_table_encoded_size(["a", "b"])
+    # b's block comes first in the file: accepted when disjoint ...
+    table = IndexTable(
+        (make_entry("a", idx_size + 16, 16), make_entry("b", idx_size, 16)), idx_size + 32
+    )
+    assert decode_index_table(encode_index_table(table)) == table
+    # ... and rejected when it overlaps a's block or the index
+    for b_offset, a_offset in ((idx_size, idx_size + 8), (idx_size - 4, idx_size + 16)):
+        table = IndexTable(
+            (make_entry("a", a_offset, 16), make_entry("b", b_offset, 16)), idx_size + 32
+        )
+        with pytest.raises(OverlappingBlocks):
+            encode_index_table(table)
+
+
 def test_table_round_trip(rng):
     for _ in range(50):
         paths = sorted({f"g{rng.randrange(1000):04d}" for _ in range(rng.randint(0, 6))})

@@ -19,11 +19,14 @@ from parahead.newformat import (
     MetadataBlock,
     assemble_image,
     decode_image,
+    decode_index_table,
     index_table_encoded_size,
     split_full_name,
 )
 from parahead.records import DimPayload, ObjectKind, VarPayload, encode_record
 from parahead.strategies import (
+    BytesSource,
+    HeaderHandle,
     logical_map_from_classic,
     logical_map_from_image,
     open_new_format,
@@ -41,9 +44,11 @@ from parahead.workload import (
 )
 
 from conftest import random_header
+from test_list_codec import blocked_workload, shared_blocks_workload
 
 VAR = ObjectKind.VARIABLE
 DIM = ObjectKind.DIMENSION
+ATT = ObjectKind.ATTRIBUTE
 
 
 def small_spec(**kw) -> WorkloadSpec:
@@ -320,13 +325,101 @@ def build_many_blocks(nblocks: int, vars_per_block: int = 2):
     return blocks
 
 
+class CountingSource(BytesSource):
+    """An in-memory image that counts the reads made of it."""
+
+    def __init__(self, data: bytes):
+        super().__init__(data)
+        self.reads = 0
+        self.bytes = 0
+
+    def read(self, offset: int, length: int) -> bytes:
+        self.reads += 1
+        self.bytes += length
+        return super().read(offset, length)
+
+
 def test_open_reads_only_the_index():
-    blocks = build_many_blocks(512)
-    image = assemble_image(blocks)
+    # one walk: magic, counts, first path length, then one read per entry
+    for nblocks in (512, 1, 0):
+        blocks = build_many_blocks(nblocks)
+        source = CountingSource(assemble_image(blocks))
+        handle = HeaderHandle(source)
+        index_size = index_table_encoded_size([b.block_path for b in blocks])
+        assert source.reads == (3 + nblocks if nblocks else 2)
+        assert source.bytes == handle.io_bytes_read == index_size
+        assert handle.blocks_loaded == 0
+
+
+def test_mutated_index_fails_alike_when_opened_and_decoded():
+    workload = gen_workload(small_spec(shared_fraction=0.25, seed=17))
+    image = run_new_format(workload, 64).image.to_bytes()
+    table = decode_index_table(image)
+    index_end = index_table_encoded_size(e.block_path for e in table.entries)
+    rand = random.Random(19)
+    rejected = 0
+    for _ in range(400):
+        buf = bytearray(image)
+        if rand.random() < 0.2:
+            del buf[rand.randrange(index_end) :]
+        else:
+            for _ in range(rand.randint(1, 4)):
+                buf[rand.randrange(index_end)] = rand.randrange(256)
+        outcomes = []
+        for read in (lambda b: open_new_format(b)[0].index_table, decode_index_table):
+            try:
+                outcomes.append(read(bytes(buf)))
+            except ParaheadError as exc:
+                outcomes.append(type(exc))
+        assert outcomes[0] == outcomes[1]
+        rejected += isinstance(outcomes[0], type)
+    assert rejected > 200
+
+
+def test_gid_bases_are_made_by_the_first_gid_of(monkeypatch):
+    from parahead import strategies
+
+    workload = gen_workload(small_spec(seed=33))
+    image = run_new_format(workload, 64).image.to_bytes()
+    calls = []
+
+    def counting(entries, _original=strategies.gid_bases):
+        calls.append(entries)
+        return _original(entries)
+
+    monkeypatch.setattr(strategies, "gid_bases", counting)
+    first, last = workload.per_rank[0][0], workload.per_rank[-1][-1]
     handle = open_new_format(image)[0]
-    index_size = index_table_encoded_size([b.block_path for b in blocks])
-    assert handle.io_bytes_read == index_size
-    assert handle.blocks_loaded == 0
+    handle.lookup(first.kind, first.full_name)
+    assert calls == []
+    handle.gid_of(first.kind, first.full_name)
+    handle.gid_of(last.kind, last.full_name)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("build", [blocked_workload, shared_blocks_workload])
+def test_full_read_reads_each_block_once(build):
+    workload = build()
+    classic = decode_classic(run_lib_baseline(workload, 1024).image.to_bytes())
+    expected = logical_map_from_classic(classic)
+    image = run_new_format(workload, 1024).image.to_bytes()
+    table = decode_index_table(image)
+    index_size = index_table_encoded_size(e.block_path for e in table.entries)
+    every_block = index_size + sum(e.size for e in table.entries)
+    probes = [workload.per_rank[0][0], workload.per_rank[-1][-1]]
+
+    handle = open_new_format(image)[0]
+    assert read_full_header(handle) == expected
+    assert handle.io_bytes_read == every_block
+    for d in probes:  # a lookup after a full read reads nothing
+        assert handle.lookup(d.kind, d.full_name) == d.payload
+    assert handle.io_bytes_read == every_block
+
+    handle = open_new_format(image)[0]
+    for d in probes:  # a full read after lookups does not read their blocks again
+        handle.lookup(d.kind, d.full_name)
+    assert read_full_header(handle) == expected
+    assert handle.io_bytes_read == every_block
 
 
 def test_lazy_block_loading_and_caching():
@@ -427,19 +520,23 @@ def test_unknown_object_inquiry():
 
 def test_gid_agreement_between_index_and_block_positions():
     workload = gen_workload(small_spec(shared_fraction=0.25, seed=12))
-    result = run_new_format(workload, 64)
-    handle = open_new_format(result.image.to_bytes())[0]
+    image = run_new_format(workload, 64).image.to_bytes()
+    handle = open_new_format(image)[0]
     objects = read_full_header(handle)
     # gid is the per-kind index in block-sorted, in-block creation order
+    table, blocks = decode_image(image)
     expected = {}
     counters = {k: 0 for k in ObjectKind}
-    for entry in handle.index_table.entries:
-        loaded = handle._load_block(entry.block_path)
-        ordered = sorted(loaded.items(), key=lambda item: item[1][0])
-        for (kind, local), (pos, _) in ordered:
-            full = f"{entry.block_path}/{local}" if entry.block_path else local
-            expected[(kind, full)] = counters[kind]
-            counters[kind] += 1
+    for entry in table.entries:
+        content = blocks[entry.block_path].content
+        for kind, objs in (
+            (DIM, content.dims), (VAR, content.vars), (ATT, content.global_atts)
+        ):
+            for obj in objs:
+                full = f"{entry.block_path}/{obj.name}" if entry.block_path else obj.name
+                expected[(kind, full)] = counters[kind]
+                counters[kind] += 1
+    assert expected.keys() == objects.keys()
     for (kind, name) in objects:
         assert handle.gid_of(kind, name) == expected[(kind, name)]
 
