@@ -26,7 +26,7 @@ from .strategies import (
     run_lib_baseline,
     run_new_format,
 )
-from .workload import DATASETS, WorkloadSpec, gen_workload, spec_for_dataset
+from .workload import CONFLICT_MODES, DATASETS, WorkloadSpec, gen_workload, spec_for_dataset
 
 CSV_COLUMNS = [
     "strategy",
@@ -62,11 +62,10 @@ _STRATEGY_NAMES = {
 def run_strategy(kind: StrategyKind, workload, hash_size, **kwargs):
     if kind is StrategyKind.APP_BASELINE:
         return run_app_baseline(workload, hash_size, **kwargs)
-    if kind is StrategyKind.LIB_BASELINE_HASH:
-        return run_lib_baseline(workload, hash_size, "hash", **kwargs)
-    if kind is StrategyKind.LIB_BASELINE_SORT:
-        return run_lib_baseline(workload, hash_size, "sort", **kwargs)
-    return run_new_format(workload, hash_size, **kwargs)
+    if kind is StrategyKind.NEW_FORMAT:
+        return run_new_format(workload, hash_size, **kwargs)
+    check = "hash" if kind is StrategyKind.LIB_BASELINE_HASH else "sort"
+    return run_lib_baseline(workload, hash_size, check, **kwargs)
 
 
 def aggregate_row(strategy: StrategyKind, nranks: int, seed: int, reports) -> dict:
@@ -127,6 +126,20 @@ def _parse_conflicts(text: str) -> tuple[int, str]:
     return n, (mode or "type_mismatch")
 
 
+def _flag_error(args) -> str | None:
+    """What makes a command's workload flags unusable, if anything."""
+    count, mode = args.inject_conflicts
+    if args.hash_size is not None and args.hash_size < 1:
+        return "--hash-size must be at least 1"
+    if not 0.0 <= args.shared_fraction <= 1.0:
+        return "--shared-fraction must be in [0, 1]"
+    if count < 0 or mode not in CONFLICT_MODES:
+        return f"--inject-conflicts needs N >= 0 and MODE in {', '.join(CONFLICT_MODES)}"
+    if count and min(args.ranks) < 2:
+        return "--inject-conflicts needs at least 2 ranks"
+    return None
+
+
 def _workload_spec(args, nranks: int) -> WorkloadSpec:
     count, mode = args.inject_conflicts
     return spec_for_dataset(
@@ -141,9 +154,7 @@ def _workload_spec(args, nranks: int) -> WorkloadSpec:
 
 
 def _hash_size(args) -> int:
-    if args.hash_size is not None:
-        return args.hash_size
-    return DATASETS[args.dataset].hash_size
+    return args.hash_size or DATASETS[args.dataset].hash_size
 
 
 def cmd_bench(args) -> int:
@@ -192,8 +203,9 @@ def cmd_gen(args) -> int:
     workload = gen_workload(_workload_spec(args, args.ranks[0]))
     kind = StrategyKind.NEW_FORMAT if args.format == "new" else StrategyKind.LIB_BASELINE_HASH
     result = run_strategy(kind, workload, _hash_size(args))
-    result.image.save(args.out)
     raw = result.image.to_bytes()
+    with open(args.out, "wb") as fh:
+        fh.write(raw)
     print(f"wrote {args.out}: {len(raw)} bytes, format={args.format}, "
           f"P={args.ranks[0]}, seed={args.seed}")
     return 0
@@ -341,6 +353,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    error = _flag_error(args) if hasattr(args, "inject_conflicts") else None
+    if error:
+        parser.error(error)
     if isinstance(getattr(args, "strategies", None), str):
         args.strategies = _parse_strategies(args.strategies)
     try:

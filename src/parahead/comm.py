@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 from .errors import CollectiveAborted, CollectiveMisuse, SizeMismatch
 
-OP_NAMES = ("allgather", "allgatherv", "broadcast", "barrier")
+OP_NAMES = ("allgather", "allgatherv", "barrier")
 
 
 @dataclass
@@ -72,7 +72,7 @@ class SimComm:
 
     def allgather(self, rank: int, data: bytes) -> list[bytes]:
         """Gather one fixed-size record per rank; every rank gets all P records."""
-        results = self._exchange(rank, ("allgather",), bytes(data))
+        results = self._exchange(rank, "allgather", bytes(data))
         stats = self._stats[rank]
         stats.calls_by_op["allgather"] += 1
         stats.bytes_sent += len(data)
@@ -82,7 +82,7 @@ class SimComm:
     def allgatherv(self, rank: int, data: bytes) -> list[bytes]:
         """Gather variable-size contributions: a size allgather, then the data."""
         sizes = self.allgather(rank, struct.pack(">Q", len(data)))
-        results = self._exchange(rank, ("allgatherv",), bytes(data))
+        results = self._exchange(rank, "allgatherv", bytes(data))
         for raw, got in zip(sizes, results):
             if struct.unpack(">Q", raw)[0] != len(got):
                 raise CollectiveMisuse("contribution changed between size and data")
@@ -92,22 +92,9 @@ class SimComm:
         stats.bytes_received += sum(len(r) for r in results)
         return results
 
-    def broadcast(self, rank: int, data: bytes | None = None, root: int = 0) -> bytes:
-        """Deliver the root's payload to every rank; non-root payloads are ignored."""
-        payload = bytes(data) if (rank == root and data is not None) else b""
-        results = self._exchange(rank, ("broadcast", root), payload)
-        out = results[root]
-        stats = self._stats[rank]
-        stats.calls_by_op["broadcast"] += 1
-        if rank == root:
-            stats.bytes_sent += len(out)
-        else:
-            stats.bytes_received += len(out)
-        return out
-
     def barrier(self, rank: int) -> None:
         """No rank returns until all ranks have entered."""
-        self._exchange(rank, ("barrier",), b"")
+        self._exchange(rank, "barrier", b"")
         self._stats[rank].calls_by_op["barrier"] += 1
 
     def stats(self, rank: int) -> CommStats:
@@ -139,12 +126,11 @@ class SimComm:
 
     # --- rendezvous core ------------------------------------------------------
 
-    def _exchange(self, rank: int, sig_extra: tuple, payload: bytes) -> list[bytes]:
-        op = sig_extra[0]
+    def _exchange(self, rank: int, op: str, payload: bytes) -> list[bytes]:
         with self._cv:
             self._raise_if_aborted()
-            self._seq_hash[rank] = zlib.crc32(repr(sig_extra).encode(), self._seq_hash[rank])
-            sig = (*sig_extra, self._seq_hash[rank])
+            self._seq_hash[rank] = zlib.crc32(op.encode(), self._seq_hash[rank])
+            sig = (op, self._seq_hash[rank])
             # previous round must be fully drained before a new one starts
             self._wait_for(rank, lambda: self._exited == self.nranks)
             joined = self._generation

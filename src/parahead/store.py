@@ -129,14 +129,6 @@ class RankStore:
         self.finalized = True
         return id_map
 
-    def register_remote(self, kind: ObjectKind, full_name: str, gid: int) -> int:
-        """Record a lazily resolved remote object and hand out its LID."""
-        if not self.finalized:
-            raise RuntimeError(f"rank {self.rank} has not finalized GIDs yet")
-        if gid not in self.id_map.gid_to_lid[kind]:
-            self._global_gids[(kind, full_name)] = gid
-        return self._pin(kind, gid)
-
     def inquire(self, kind: ObjectKind, full_name: str) -> int:
         """Resolve a name to a LID, assigning the next free LID on first use."""
         key = (kind, full_name)
@@ -148,10 +140,7 @@ class RankStore:
         gid = self._global_gids.get(key)
         if gid is None:
             raise NoSuchObject(f"{full_name!r} does not exist in the file")
-        return self._pin(kind, gid)
-
-    def _pin(self, kind: ObjectKind, gid: int) -> int:
-        """LID of a GID, pinning an unseen one behind the next free LID."""
+        # a remote object seen before keeps its LID; a new one gets the next
         known = self.id_map.gid_to_lid[kind].get(gid)
         if known is not None:
             return known

@@ -141,10 +141,6 @@ class FileImage:
         with self._lock:
             return bytes(self._data)
 
-    def save(self, path) -> None:
-        with open(path, "wb") as fh:
-            fh.write(self.to_bytes())
-
 
 @dataclass(frozen=True)
 class RunResult:
@@ -152,35 +148,19 @@ class RunResult:
     reports: list[PhaseReport]
 
 
-class MemoryMeter:
-    """Logical bytes of metadata a rank currently retains, with high watermark."""
-
-    def __init__(self):
-        self.held = 0
-        self.high_watermark = 0
-
-    def acquire(self, nbytes: int) -> None:
-        self.held += nbytes
-        if self.held > self.high_watermark:
-            self.high_watermark = self.held
-
-    def release_all(self) -> None:
-        self.held = 0
-
-
 class RankContext:
-    """Per-rank instrumentation shared by every strategy body."""
+    """Per-rank instrumentation shared by every strategy body.
 
-    def __init__(self, strategy: StrategyKind, rank: int, comm: SimComm):
-        self.strategy = strategy
+    It fills the rank's :class:`PhaseReport` in place and tracks the logical
+    bytes of metadata the rank currently retains, with their high watermark.
+    """
+
+    def __init__(self, strategy: StrategyKind, rank: int, comm: SimComm, image: FileImage):
         self.rank = rank
         self.comm = comm
-        self.meter = MemoryMeter()
-        self.seconds = {name: 0.0 for name in PHASES}
-        self.string_comparisons = 0
-        self.payload_comparisons = 0
-        self.io_bytes_written = 0
-        self.io_bytes_read = 0
+        self.image = image
+        self.held = 0
+        self.report = PhaseReport(strategy, rank, {name: 0.0 for name in PHASES})
 
     @contextmanager
     def phase(self, name: str):
@@ -189,27 +169,44 @@ class RankContext:
         try:
             yield
         finally:
-            self.seconds[name] += time.perf_counter() - start
+            self.report.seconds[name] += time.perf_counter() - start
 
-    def count_check(self, report) -> None:
-        self.string_comparisons += report.string_comparisons
-        self.payload_comparisons += report.payload_comparisons
+    def acquire(self, nbytes: int) -> None:
+        self.held += nbytes
+        if self.held > self.report.mem_high_watermark:
+            self.report.mem_high_watermark = self.held
 
-    def report(self) -> PhaseReport:
+    def write(self, offset: int, raw: bytes, tag: str) -> None:
+        self.image.write(self.rank, offset, raw, tag)
+        self.report.io_bytes_written += len(raw)
+
+    def gather(self, buf: bytes) -> list[bytes]:
+        """Every rank's ``buf``, in rank order; the rank retains all of them."""
+        gathered = self.comm.allgatherv(self.rank, buf)
+        self.acquire(sum(len(g) for g in gathered))
+        return gathered
+
+    def gather_records(self, records: list[bytes]) -> list[NameRecord]:
+        """Every rank's ``records`` as check input, rank-major."""
+        gathered = self.gather(pack_stream(records))
+        return make_name_records([unpack_stream(g) for g in gathered])
+
+    def checked(self, report) -> None:
+        """Count a check's comparisons; its conflicts raise ConsistencyError."""
+        self.report.string_comparisons += report.string_comparisons
+        self.report.payload_comparisons += report.payload_comparisons
+        if report.conflicts:
+            raise ConsistencyError(report.conflicts)
+
+    def close(self) -> PhaseReport:
+        """Free the retained metadata and complete the report with comm stats."""
+        with self.phase("close_free"):
+            self.held = 0
         stats = self.comm.stats(self.rank)
-        return PhaseReport(
-            strategy=self.strategy,
-            rank=self.rank,
-            seconds=dict(self.seconds),
-            string_comparisons=self.string_comparisons,
-            payload_comparisons=self.payload_comparisons,
-            bytes_sent=stats.bytes_sent,
-            bytes_received=stats.bytes_received,
-            calls_by_op=dict(stats.calls_by_op),
-            io_bytes_written=self.io_bytes_written,
-            io_bytes_read=self.io_bytes_read,
-            mem_high_watermark=self.meter.high_watermark,
-        )
+        self.report.bytes_sent = stats.bytes_sent
+        self.report.bytes_received = stats.bytes_received
+        self.report.calls_by_op = stats.calls_by_op
+        return self.report
 
 
 def _resolve_lockstep(flag) -> bool:
@@ -218,27 +215,38 @@ def _resolve_lockstep(flag) -> bool:
     return bool(flag)
 
 
+def _run(strategy: StrategyKind, workload: Workload, body, lockstep, order_seed) -> RunResult:
+    """Run ``body(ctx, defs)`` on every rank of ``workload`` into one file image."""
+    image = FileImage()
+
+    def rank_body(rank: int, comm: SimComm) -> PhaseReport:
+        ctx = RankContext(strategy, rank, comm, image)
+        body(ctx, workload.per_rank[rank])
+        return ctx.close()
+
+    reports = run_ranks(
+        workload.nranks, rank_body, lockstep=_resolve_lockstep(lockstep), order_seed=order_seed
+    )
+    return RunResult(image, reports)
+
+
 # --- shared classic-format machinery -----------------------------------------
 
 
 def merge_records(name_records) -> tuple[list[NameRecord], dict[ObjectKind, list[str]]]:
-    """Deduplicate gathered records into the file order, in one pass.
+    """Deduplicate gathered records into the file order.
 
     Objects are ordered per kind by (rank of first definer, creation index);
     a shared object keeps its lowest-rank definer's position.  Returns the
     first record of each name and, per kind, the names in file order.
     """
-    seen = set()
-    merged = []
-    order: dict[ObjectKind, list[str]] = {k: [] for k in ObjectKind}
+    firsts: dict[bytes, NameRecord] = {}
     for rec in name_records:
-        key = rec.key
-        if key in seen:
-            continue
-        seen.add(key)
-        merged.append(rec)
+        firsts.setdefault(rec.key, rec)
+    order: dict[ObjectKind, list[str]] = {k: [] for k in ObjectKind}
+    for key, rec in firsts.items():
         order[KINDS[key[0]]].append(rec.full_name)
-    return merged, order
+    return list(firsts.values()), order
 
 
 def build_classic_header(defs, path: str = "") -> Header:
@@ -284,16 +292,14 @@ def _defs(objs):
     return ((o.kind, o.full_name, o.payload) for o in objs)
 
 
-def _write_classic_root(ctx: RankContext, image: FileImage, defs) -> None:
+def _write_classic_root(ctx: RankContext, defs) -> None:
     """Rank 0 writes the header of the merged triples ``defs``, in file order."""
     if ctx.rank != 0:
         return
     header = build_classic_header(defs)
     reserve = encoded_size(header, 5)
     header = compute_offsets(header, reserve, DEFAULT_ALIGN, version=5)
-    raw = encode_classic(header, 5)
-    image.write(0, 0, raw, "classic_header")
-    ctx.io_bytes_written += len(raw)
+    ctx.write(0, encode_classic(header, 5), "classic_header")
 
 
 # --- application-level baseline -----------------------------------------------
@@ -307,41 +313,26 @@ def run_app_baseline(
     order_seed=None,
 ) -> RunResult:
     """Exchange and synchronize metadata up front, then create collectively."""
-    image = FileImage()
 
-    def body(rank: int, comm: SimComm) -> PhaseReport:
-        ctx = RankContext(StrategyKind.APP_BASELINE, rank, comm)
-        defs = workload.per_rank[rank]
+    def body(ctx: RankContext, defs) -> None:
         with ctx.phase("exchange"):
-            own = [encode_record(d.kind, d.full_name, d.payload) for d in defs]
-            buf = pack_stream(own)
-            ctx.meter.acquire(len(buf))
-            gathered = comm.allgatherv(rank, buf)
-            ctx.meter.acquire(sum(len(g) for g in gathered))
-            records = make_name_records([unpack_stream(g) for g in gathered])
+            buf = pack_stream([encode_record(d.kind, d.full_name, d.payload) for d in defs])
+            ctx.acquire(len(buf))  # the application keeps its own send buffer too
+            records = make_name_records([unpack_stream(g) for g in ctx.gather(buf)])
         with ctx.phase("consistency_check"):
-            report = hash_check(records, hash_size)
-            ctx.count_check(report)
-            if report.conflicts:
-                raise ConsistencyError(report.conflicts)
+            ctx.checked(hash_check(records, hash_size))
         with ctx.phase("define"):
             merged, order = merge_records(records)
-            store = RankStore(rank)
+            store = RankStore(ctx.rank)
             for rec in merged:
                 store.define_record(rec.payload_ref)
-            ctx.meter.acquire(store.serialized_bytes())
+            ctx.acquire(store.serialized_bytes())
             store.finalize_gids(gids_from_order(order))
         with ctx.phase("header_write"):
             # the store holds every merged object, in file order
-            _write_classic_root(ctx, image, _defs(store.objects))
-        with ctx.phase("close_free"):
-            ctx.meter.release_all()
-        return ctx.report()
+            _write_classic_root(ctx, _defs(store.objects))
 
-    reports = run_ranks(
-        workload.nranks, body, lockstep=_resolve_lockstep(lockstep), order_seed=order_seed
-    )
-    return RunResult(image, reports)
+    return _run(StrategyKind.APP_BASELINE, workload, body, lockstep, order_seed)
 
 
 # --- library-level baseline ----------------------------------------------------
@@ -361,81 +352,34 @@ def run_lib_baseline(
     strategy = (
         StrategyKind.LIB_BASELINE_HASH if check == "hash" else StrategyKind.LIB_BASELINE_SORT
     )
-    image = FileImage()
 
-    def body(rank: int, comm: SimComm) -> PhaseReport:
-        ctx = RankContext(strategy, rank, comm)
-        store = RankStore(rank)
+    def body(ctx: RankContext, defs) -> None:
+        store = RankStore(ctx.rank)
         with ctx.phase("define"):
-            for d in workload.per_rank[rank]:
+            for d in defs:
                 store.define(d.kind, d.full_name, d.payload)
-            ctx.meter.acquire(store.serialized_bytes())
+            ctx.acquire(store.serialized_bytes())
         with ctx.phase("exchange"):
-            buf = pack_stream([o.record for o in store.objects])
-            gathered = comm.allgatherv(rank, buf)
-            ctx.meter.acquire(sum(len(g) for g in gathered))
-            records = make_name_records([unpack_stream(g) for g in gathered])
+            records = ctx.gather_records([o.record for o in store.objects])
         with ctx.phase("consistency_check"):
-            report = hash_check(records, hash_size) if check == "hash" else sort_check(records)
-            ctx.count_check(report)
-            if report.conflicts:
-                raise ConsistencyError(report.conflicts)
+            ctx.checked(hash_check(records, hash_size) if check == "hash" else sort_check(records))
         with ctx.phase("header_write"):
             merged, order = merge_records(records)
             store.finalize_gids(gids_from_order(order))
-            _write_classic_root(
-                ctx, image, (decode_record(rec.payload_ref) for rec in merged)
-            )
-        with ctx.phase("close_free"):
-            ctx.meter.release_all()
-        return ctx.report()
+            _write_classic_root(ctx, (decode_record(rec.payload_ref) for rec in merged))
 
-    reports = run_ranks(
-        workload.nranks, body, lockstep=_resolve_lockstep(lockstep), order_seed=order_seed
-    )
-    return RunResult(image, reports)
+    return _run(strategy, workload, body, lockstep, order_seed)
 
 
 # --- partitioned header strategy ------------------------------------------------
 
-_PROTO_FIXED = struct.Struct(">QQQQQQ")  # n_dims, n_vars, n_atts, size, data, digest
+# One block-facts entry: size, n_dims, n_vars, n_atts, data bytes, then the path.
+_FACTS = struct.Struct(">QQQQQ")
 
 
 def _block_facts(path: str, content: Header) -> tuple[BlockStats, int]:
     """Layout facts of a block: its stats and the data bytes of its variables."""
     return block_stats(MetadataBlock(path, content)), sum(v.vsize for v in content.vars)
-
-
-def _pack_proto(facts) -> bytes:
-    """Wire form of per-block (stats, data size, content digest) triples."""
-    parts = [struct.pack(">I", len(facts))]
-    for stats, data_size, digest in facts:
-        raw = stats.block_path.encode("ascii")
-        parts.append(struct.pack(">I", len(raw)))
-        parts.append(raw)
-        parts.append(
-            _PROTO_FIXED.pack(
-                stats.n_dims, stats.n_vars, stats.n_atts, stats.size, data_size, digest
-            )
-        )
-    return b"".join(parts)
-
-
-def _unpack_proto(buf: bytes) -> list[tuple[BlockStats, int]]:
-    """(stats, data size) of each block in a :func:`_pack_proto` buffer."""
-    out = []
-    pos = 0
-    (count,) = struct.unpack_from(">I", buf, pos)
-    pos += 4
-    for _ in range(count):
-        (n,) = struct.unpack_from(">I", buf, pos)
-        pos += 4
-        path = buf[pos : pos + n].decode("ascii")
-        pos += n
-        n_dims, n_vars, n_atts, size, data_size, _ = _PROTO_FIXED.unpack_from(buf, pos)
-        pos += _PROTO_FIXED.size
-        out.append((BlockStats(path, size, n_dims, n_vars, n_atts), data_size))
-    return out
 
 
 def run_new_format(
@@ -448,15 +392,13 @@ def run_new_format(
 ) -> RunResult:
     """Partitioned header: exchange block names, compare only shared blocks,
     and write index plus blocks from their owning ranks."""
-    image = FileImage()
 
-    def body(rank: int, comm: SimComm) -> PhaseReport:
-        ctx = RankContext(StrategyKind.NEW_FORMAT, rank, comm)
-        store = RankStore(rank)
+    def body(ctx: RankContext, defs) -> None:
+        store = RankStore(ctx.rank)
         with ctx.phase("define"):
-            for d in workload.per_rank[rank]:
+            for d in defs:
                 store.define(d.kind, d.full_name, d.payload)
-            ctx.meter.acquire(store.serialized_bytes())
+            ctx.acquire(store.serialized_bytes())
             own_blocks: dict[str, list[PendingObject]] = {}
             for obj in store.objects:
                 path, _ = split_full_name(obj.full_name)
@@ -469,53 +411,52 @@ def run_new_format(
             # the error stands if no other rank claims the block.
             contents: dict[str, Header] = {}
             unresolved: dict[str, DanglingDimRef] = {}
-            own_facts: dict[str, tuple[BlockStats, int, int]] = {}
+            own_facts: dict[str, tuple[BlockStats, int]] = {}
             for p, objs in own_blocks.items():
-                digest = digest64(b"".join(o.record for o in objs))
                 try:
                     contents[p] = build_classic_header(_defs(objs), p)
                 except DanglingDimRef as exc:
                     unresolved[p] = exc
-                    own_facts[p] = (BlockStats(p, 0, 0, 0, 0), 0, digest)
+                    own_facts[p] = (BlockStats(p, 0, 0, 0, 0), 0)
                 else:
-                    own_facts[p] = (*_block_facts(p, contents[p]), digest)
-            gathered_proto = comm.allgatherv(rank, _pack_proto(list(own_facts.values())))
-            ctx.meter.acquire(sum(len(g) for g in gathered_proto))
+                    own_facts[p] = _block_facts(p, contents[p])
+            gathered_facts = ctx.gather(pack_stream([
+                _FACTS.pack(s.size, s.n_dims, s.n_vars, s.n_atts, data_size)
+                + s.block_path.encode("ascii")
+                for s, data_size in own_facts.values()
+            ]))
 
         with ctx.phase("consistency_check"):
-            # every rank validates its own namespace in its own table
-            local = make_name_records([[o.record for o in store.objects]])
-            local_report = hash_check(local, hash_size)
-            ctx.count_check(local_report)
-            assert not local_report.conflicts  # the store enforced local uniqueness
+            # every rank validates its own namespace in its own table, from
+            # the names and digests its store already holds
+            ctx.checked(hash_check(
+                [NameRecord(o.full_name, ctx.rank, o.digest, o.record) for o in store.objects],
+                hash_size,
+            ))
 
             claims: dict[str, list[int]] = {}
             facts: dict[str, tuple[BlockStats, int]] = {}
             block_names = []
-            for peer, raw in enumerate(gathered_proto):
-                for stats, data_size in _unpack_proto(raw):
-                    claims.setdefault(stats.block_path, []).append(peer)
-                    facts.setdefault(stats.block_path, (stats, data_size))
-                    block_names.append(
-                        NameRecord(stats.block_path, peer, digest64(b"\xff"), b"\xff")
-                    )
+            block_digest = digest64(b"\xff")
+            for peer, raw in enumerate(gathered_facts):
+                for entry in unpack_stream(raw):
+                    size, n_dims, n_vars, n_atts, data_size = _FACTS.unpack_from(entry)
+                    path = entry[_FACTS.size :].decode("ascii")
+                    claims.setdefault(path, []).append(peer)
+                    stats = BlockStats(path, size, n_dims, n_vars, n_atts)
+                    facts.setdefault(path, (stats, data_size))
+                    block_names.append(NameRecord(path, peer, block_digest, b"\xff"))
             block_report = hash_check(block_names, hash_size)
-            ctx.count_check(block_report)
+            ctx.checked(block_report)
             shared_paths = {g[0].full_name for g in block_report.shared_sets}
 
-            shared_own = [
+            shared_records = ctx.gather_records([
                 obj.record
                 for path in sorted(own_blocks)
                 if path in shared_paths
                 for obj in own_blocks[path]
-            ]
-            gathered_shared = comm.allgatherv(rank, pack_stream(shared_own))
-            ctx.meter.acquire(sum(len(g) for g in gathered_shared))
-            shared_records = make_name_records([unpack_stream(g) for g in gathered_shared])
-            shared_report = hash_check(shared_records, hash_size)
-            ctx.count_check(shared_report)
-            if shared_report.conflicts:
-                raise ConsistencyError(shared_report.conflicts)
+            ])
+            ctx.checked(hash_check(shared_records, hash_size))
             merged_shared: dict[str, list[bytes]] = {p: [] for p in shared_paths}
             for rec in merge_records(shared_records)[0]:
                 path, _ = split_full_name(rec.full_name)
@@ -527,19 +468,18 @@ def run_new_format(
             for path in sorted(claims):
                 if path in shared_paths:
                     merged = merged_shared[path]
-                    if path in unresolved or merged != [
-                        o.record for o in own_blocks.get(path, ())
-                    ]:
+                    own = [o.record for o in own_blocks.get(path, ())]
+                    if path in unresolved or merged != own:
                         defs = (decode_record(rec) for rec in merged)
                         contents[path] = build_classic_header(defs, path)
                         facts[path] = _block_facts(path, contents[path])
                     else:
-                        facts[path] = own_facts[path][:2]
+                        facts[path] = own_facts[path]
                 elif path in unresolved:
                     raise unresolved[path]
             table = layout_from_stats([stats for stats, _ in facts.values()], align)
             index_raw = encode_index_table(table)
-            ctx.meter.acquire(len(index_raw))  # replicated index copy
+            ctx.acquire(len(index_raw))  # replicated index copy
 
             # data-section offsets: path-sorted blocks, creation order within
             data_cursor = align_up(table.header_reserve, align)
@@ -547,7 +487,7 @@ def run_new_format(
                 path = entry.block_path
                 start = data_cursor
                 data_cursor += facts[path][1]
-                if min(claims[path]) != rank:
+                if min(claims[path]) != ctx.rank:
                     continue
                 content = compute_offsets(contents[path], start, 1)
                 raw = encode_block(MetadataBlock(path, content))
@@ -556,11 +496,9 @@ def run_new_format(
                         f"block {path!r} encoded to {len(raw)} bytes, "
                         f"layout promised {entry.size}"
                     )
-                image.write(rank, entry.offset, raw, f"block:{path}")
-                ctx.io_bytes_written += len(raw)
-            if rank == 0:
-                image.write(0, 0, index_raw, "index_table")
-                ctx.io_bytes_written += len(index_raw)
+                ctx.write(entry.offset, raw, f"block:{path}")
+            if ctx.rank == 0:
+                ctx.write(0, index_raw, "index_table")
 
             # GID assignment: block-sorted order, creation order within block
             bases = gid_bases(table.entries)
@@ -569,14 +507,7 @@ def run_new_format(
                 _add_gids(gids, path, content, bases[path])
             store.finalize_gids(gids)
 
-        with ctx.phase("close_free"):
-            ctx.meter.release_all()
-        return ctx.report()
-
-    reports = run_ranks(
-        workload.nranks, body, lockstep=_resolve_lockstep(lockstep), order_seed=order_seed
-    )
-    return RunResult(image, reports)
+    return _run(StrategyKind.NEW_FORMAT, workload, body, lockstep, order_seed)
 
 
 # --- read path --------------------------------------------------------------
@@ -683,13 +614,10 @@ class HeaderHandle:
 
 def open_new_format(image, nranks: int = 1) -> list[HeaderHandle]:
     """Open a partitioned file on P ranks; each reads only the index table."""
-    handles = []
-    for _ in range(nranks):
-        source = image if hasattr(image, "read") else BytesSource(
-            image.to_bytes() if isinstance(image, FileImage) else image
-        )
-        handles.append(HeaderHandle(source))
-    return handles
+    if isinstance(image, FileImage):
+        image = image.to_bytes()
+    source = image if hasattr(image, "read") else BytesSource(image)
+    return [HeaderHandle(source) for _ in range(nranks)]
 
 
 def read_full_header(handle: HeaderHandle) -> dict:

@@ -221,6 +221,20 @@ def test_bad_flags_rejected(capsys):
         main(["bench", "--ranks", "zero"])
 
 
+@pytest.mark.parametrize("argv", [
+    ["bench", "--hash-size", "0"],
+    ["bench", "--shared-fraction", "2"],
+    ["bench", "--inject-conflicts", "2:bogus"],
+    ["verify", "--ranks", "1", "--inject-conflicts", "1"],
+])
+def test_bad_values_are_usage_errors(argv, capsys):
+    # rejected while parsing, before any workload is built
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "usage:" in capsys.readouterr().err
+
+
 def test_closed_stdout_pipe_exits_quietly():
     # the reader closes its end before bench writes anything, as `| head -1` may
     proc = subprocess.Popen(

@@ -69,24 +69,6 @@ def test_allgatherv_byte_conservation():
         assert s.calls_by_op["allgather"] == 1
 
 
-def test_broadcast():
-    def body(rank, comm):
-        got = comm.broadcast(rank, b"hello" if rank == 0 else b"IGNORED")
-        empty = comm.broadcast(rank, b"")
-        return got, empty
-
-    for got, empty in run_ranks(3, body):
-        assert got == b"hello"
-        assert empty == b""
-
-
-def test_broadcast_nonzero_root():
-    def body(rank, comm):
-        return comm.broadcast(rank, f"from {rank}".encode(), root=2)
-
-    assert run_ranks(4, body) == [b"from 2"] * 4
-
-
 def test_barrier_releases_all_ranks():
     order = []
 
@@ -105,7 +87,7 @@ def test_misuse_mismatched_ops():
         if rank == 0:
             comm.allgather(rank, b"x")
         else:
-            comm.broadcast(rank, b"x")
+            comm.barrier(rank)
 
     with pytest.raises(CollectiveMisuse):
         run_ranks(2, body)
@@ -150,7 +132,7 @@ def _mixed_program(rank, comm):
     out = []
     out.append(comm.allgather(rank, struct.pack(">I", rank * 7)))
     out.append(comm.allgatherv(rank, bytes(rng.randrange(256) for _ in range(rank * 3))))
-    out.append(comm.broadcast(rank, b"payload" if rank == 0 else None))
+    out.append(comm.allgather(rank, b"payload"))
     comm.barrier(rank)
     out.append(comm.allgatherv(rank, b"z" * (8 - rank)))
     stats = comm.stats(rank)

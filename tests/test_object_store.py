@@ -108,17 +108,6 @@ def test_two_rank_scenario_lids_diverge_gids_agree():
         assert g0 == g1
 
 
-def test_register_remote():
-    store = RankStore(0)
-    store.define(VAR, "own", v())
-    store.finalize_gids({(VAR, "own"): 0})
-    lid = store.register_remote(VAR, "far/away", 7)
-    assert lid == 1
-    assert store.register_remote(VAR, "far/away", 7) == lid
-    assert store.inquire(VAR, "far/away") == lid
-    assert store.gid_of(VAR, lid) == 7
-
-
 def test_serialized_bytes_tracks_records():
     store = RankStore(0)
     store.define(DIM, "x", DimPayload(10))

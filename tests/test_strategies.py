@@ -183,7 +183,7 @@ def test_shared_block_layout_and_exchange_volume():
     paths = [e.block_path for e in handle.index_table.entries]
     assert paths == ["b00000", "b00001", "shared"]
 
-    # expected traffic: the per-block stats exchange plus only the shared
+    # expected traffic: the per-block facts exchange plus only the shared
     # block's records; unique block contents never move
     shared_recs = [
         encode_record(d.kind, d.full_name, d.payload)
@@ -191,10 +191,10 @@ def test_shared_block_layout_and_exchange_volume():
         if d.full_name.startswith("shared/")
     ]
     shared_stream = 4 + sum(4 + len(r) for r in shared_recs)
-    proto = {rank: 4 + 2 * (4 + 6 + 48) for rank in range(2)}  # two 6-char paths each
+    facts = {rank: 4 + 2 * (4 + 40 + 6) for rank in range(2)}  # two 6-char paths each
     for rank, report in enumerate(result.reports):
-        sent = (8 + proto[rank]) + (8 + shared_stream)
-        received = (16 + proto[0] + proto[1]) + (16 + 2 * shared_stream)
+        sent = (8 + facts[rank]) + (8 + shared_stream)
+        received = (16 + facts[0] + facts[1]) + (16 + 2 * shared_stream)
         assert report.bytes_sent == sent
         assert report.bytes_received == received
 
@@ -203,11 +203,11 @@ def test_zero_shared_comm_is_names_plus_index_traffic_only():
     workload = gen_workload(small_spec(seed=3))
     result = run_new_format(workload, 64)
     nranks = workload.nranks
-    proto_len = 4 + (4 + 6 + 48)  # one 6-char block path per rank
+    facts_len = 4 + (4 + 40 + 6)  # one 6-char block path per rank
     empty_stream = 4
     for report in result.reports:
-        assert report.bytes_sent == (8 + proto_len) + (8 + empty_stream)
-        assert report.bytes_received == nranks * (8 + proto_len) + nranks * (
+        assert report.bytes_sent == (8 + facts_len) + (8 + empty_stream)
+        assert report.bytes_received == nranks * (8 + facts_len) + nranks * (
             8 + empty_stream
         )
 
@@ -252,7 +252,7 @@ def test_new_format_memory_accounting_equation():
     workload = gen_workload(small_spec(seed=3))
     result = run_new_format(workload, 64)
     nranks = workload.nranks
-    proto_len = 4 + (4 + 6 + 48)
+    facts_len = 4 + (4 + 40 + 6)
     handle = open_new_format(result.image.to_bytes())[0]
     index_size = index_table_encoded_size(
         [e.block_path for e in handle.index_table.entries]
@@ -262,7 +262,7 @@ def test_new_format_memory_accounting_equation():
             len(encode_record(d.kind, d.full_name, d.payload))
             for d in workload.per_rank[rank]
         )
-        gathered = nranks * proto_len + nranks * 4
+        gathered = nranks * facts_len + nranks * 4
         assert report.mem_high_watermark == own + gathered + index_size
 
 
@@ -669,8 +669,10 @@ def test_app_decodes_each_merged_record_once_per_rank(monkeypatch):
         assert sorted(recs) == merged
 
 
-@pytest.mark.parametrize("check", ["app", "hash", "sort"])
+@pytest.mark.parametrize("check", ["app", "hash", "sort", "new"])
 def test_each_gathered_record_name_parsed_once_per_rank(monkeypatch, check):
+    # new_format gathers only the shared block's records; a rank checks its
+    # own names from its store, so it never parses its own unshared records
     from parahead import consistency, store, strategies
 
     workload = gen_workload(small_spec(shared_fraction=0.5, seed=21))
@@ -678,9 +680,12 @@ def test_each_gathered_record_name_parsed_once_per_rank(monkeypatch, check):
         encode_record(d.kind, d.full_name, d.payload)
         for defs in workload.per_rank
         for d in defs
+        if check != "new" or d.full_name.startswith("shared/")
     )
     if check == "app":
         run = lambda w: run_app_baseline(w, 64)
+    elif check == "new":
+        run = lambda w: run_new_format(w, 64)
     else:
         run = lambda w: run_lib_baseline(w, 64, check)
     parsers = [m for m in (consistency, store, strategies) if hasattr(m, "record_name")]
@@ -719,12 +724,14 @@ def test_remote_inquiry_via_lazy_read():
     )
     baseline = handle.io_bytes_read
     gid = handle.gid_of(VAR, remote.full_name)
-    assert handle.io_bytes_read > baseline  # exactly one block was fetched
+    assert handle.blocks_loaded == 1  # exactly one block was fetched
+    assert handle.io_bytes_read > baseline
     store = RankStore(0)
-    own = [d for d in workload.per_rank[0]][0]
+    own = next(d for d in workload.per_rank[0] if d.kind is VAR)
     store.define(own.kind, own.full_name, own.payload)
-    store.finalize_gids({(own.kind, own.full_name): 0})
-    lid = store.register_remote(VAR, remote.full_name, gid)
+    store.finalize_gids({(VAR, own.full_name): 0, (VAR, remote.full_name): gid})
+    lid = store.inquire(VAR, remote.full_name)
+    assert lid == 1  # the next LID after the rank's own variable
     assert store.inquire(VAR, remote.full_name) == lid
     assert store.gid_of(VAR, lid) == gid
 
@@ -736,12 +743,13 @@ def test_app_baseline_single_rank_matches_sequential():
     assert logical_map_from_classic(header) == workload_logical_map(workload)
 
 
-def test_benchmark_tracer_rebinds_existing_names():
-    # perfbench/tracer.py rebinds these by name; a rename would leave its
-    # traced runs silently uncounted
+def test_benchmark_tracer_rebinds_existing_names(monkeypatch):
+    # perfbench/tracer.py rebinds these by name, and perfbench/run.py rebinds
+    # strategies.run_ranks; a rename would leave its runs silently uncounted
     import importlib.util
     from pathlib import Path
 
+    import parahead
     from parahead import strategies
 
     path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -751,6 +759,29 @@ def test_benchmark_tracer_rebinds_existing_names():
     for names in tracer.REBOUND.values():
         for name in names:
             assert callable(getattr(strategies, name, None)), name
+    for module, cls, methods in tracer.METHODS.values():
+        klass = getattr(getattr(parahead, module), cls)
+        for method in methods:
+            assert callable(getattr(klass, method, None)), f"{cls}.{method}"
+
+    calls = []
+    original = strategies.run_ranks
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(strategies, "run_ranks", counting)
+    workload = gen_workload(small_spec(seed=63))
+    for run in (
+        run_app_baseline,
+        lambda w, k: run_lib_baseline(w, k, "hash"),
+        lambda w, k: run_lib_baseline(w, k, "sort"),
+        run_new_format,
+    ):
+        calls.clear()
+        run(workload, 64)
+        assert calls == [workload.nranks]
 
 
 def test_lockstep_env_var_selects_scheduler(monkeypatch):
