@@ -26,6 +26,8 @@ from parahead.newformat import (
     flatten_blocks,
     partition_header,
 )
+from parahead.records import encode_record
+from parahead.strategies import logical_map_from_classic
 
 
 def _block_content(rng: random.Random) -> Header:
@@ -55,6 +57,15 @@ def shared_header() -> Header:
 @pytest.fixture(scope="session")
 def shared_header_bytes(shared_header) -> bytes:
     return encode_classic(shared_header, 5)
+
+
+@pytest.fixture(scope="session")
+def shared_header_records(shared_header) -> list[bytes]:
+    """The header's objects as canonical records, in file order."""
+    return [
+        encode_record(kind, name, payload)
+        for (kind, name), payload in logical_map_from_classic(shared_header).items()
+    ]
 
 
 @pytest.fixture(scope="session")

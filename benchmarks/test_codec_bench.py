@@ -9,10 +9,16 @@ from __future__ import annotations
 
 from parahead.classic import decode_classic, encode_classic
 from parahead.newformat import decode_block, encode_block
+from parahead.records import classic_from_records
 
 
 def test_encode_classic(benchmark, shared_header, shared_header_bytes):
     assert benchmark(encode_classic, shared_header, 5) == shared_header_bytes
+
+
+def test_classic_from_records(benchmark, shared_header_records, shared_header_bytes):
+    """The baselines' header write on rank 0, from the merged records."""
+    assert benchmark(classic_from_records, shared_header_records) == shared_header_bytes
 
 
 def test_decode_classic(benchmark, shared_header, shared_header_bytes):

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import os
 import sys
 
@@ -115,6 +116,16 @@ def _parse_ranks(text: str) -> list[int]:
     if any(r < 1 for r in ranks):
         raise argparse.ArgumentTypeError("rank counts must be >= 1")
     return ranks
+
+
+def _parse_scale(text: str) -> float:
+    try:
+        scale = float(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"bad scale {text!r}") from exc
+    if not (0.0 < scale < math.inf):  # also false for nan
+        raise argparse.ArgumentTypeError(f"must be finite and > 0, not {text!r}")
+    return scale
 
 
 def _parse_conflicts(text: str) -> tuple[int, str]:
@@ -305,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_workload_flags(p, multi_rank: bool):
         p.add_argument("--dataset", choices=sorted(DATASETS), default="98M")
-        p.add_argument("--scale", type=float, default=0.01,
+        p.add_argument("--scale", type=_parse_scale, default=0.01,
                        help="fraction of the dataset's object totals (default 0.01)")
         p.add_argument("--ranks", type=_parse_ranks,
                        default=[1, 2, 4, 8, 16] if multi_rank else [4],

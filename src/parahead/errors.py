@@ -101,3 +101,7 @@ class ConsistencyError(ParaheadError):
 
 class IndivisiblePartition(ParaheadError):
     """Object totals cannot be evenly partitioned across the requested ranks."""
+
+
+class TooManyConflicts(ParaheadError):
+    """The workload has fewer unique objects than the conflicts to inject."""

@@ -12,7 +12,9 @@ self-describing::
     attr      = name_rec | u32 type | u32 count | value bytes
 
 All integers big-endian.  Variables reference dimensions by full name:
-numeric ids only exist after end-define assigns the file order.
+numeric ids only exist after end-define assigns the file order.  The classic
+baselines' rank 0 writes the classic header straight from its merged records
+(:func:`classic_from_records`).
 """
 
 from __future__ import annotations
@@ -22,8 +24,32 @@ import zlib
 from dataclasses import dataclass
 from enum import IntEnum
 
-from .classic import TYPES, VALUE_ERRORS, AttributeDef, TypeTag, pack_values
-from .errors import CorruptHeader, Truncated, UnrepresentableValue
+from .classic import (
+    _PADS,
+    _WIDTHS,
+    DEFAULT_ALIGN,
+    MAGIC_PREFIX,
+    TAG_ATTRIBUTES,
+    TAG_DIMENSIONS,
+    TAG_VARIABLES,
+    TYPES,
+    VALUE_ERRORS,
+    AttributeDef,
+    TypeTag,
+    _list_head,
+    _name_record,
+    _owned,
+    align_up,
+    pack_values,
+)
+from .errors import (
+    CorruptHeader,
+    DanglingDimRef,
+    DuplicateName,
+    Truncated,
+    UnrepresentableValue,
+    UnsupportedFeature,
+)
 
 
 class ObjectKind(IntEnum):
@@ -110,22 +136,47 @@ def _read_name(buf: bytes, pos: int, end: int) -> tuple[str, int]:
         raise CorruptHeader(f"record name at offset {pos} is not UTF-8") from exc
 
 
-def _read_typed_values(buf: bytes, pos: int, end: int) -> tuple[TypeTag, tuple | bytes, int]:
-    """Attribute body at ``pos``: type tag, values and the offset just past it."""
+def _att_span(buf: bytes, pos: int, end: int) -> tuple[tuple, int, int, int]:
+    """Attribute body at ``pos``: its ``TYPES`` entry, its element count, and
+    the offsets where its value bytes start and stop."""
     if pos + 8 > end:
         raise Truncated(f"record needs an attribute type and count at offset {pos}")
     tag, nelems = _U32X2.unpack_from(buf, pos)
     entry = TYPES.get(tag)
     if entry is None:
         raise CorruptHeader(f"unknown type tag {tag} at offset {pos}")
-    type_tag, itemsize, fmt = entry
     pos += 8
-    stop = pos + nelems * itemsize
+    stop = pos + nelems * entry[1]
     if stop > end:
         raise Truncated(f"attribute values at offset {pos} run past the end")
+    return entry, nelems, pos, stop
+
+
+def _read_typed_values(buf: bytes, pos: int, end: int) -> tuple[TypeTag, tuple | bytes, int]:
+    """Attribute body at ``pos``: type tag, values and the offset just past it."""
+    (type_tag, _, fmt), nelems, pos, stop = _att_span(buf, pos, end)
     if fmt is None:
         return type_tag, buf[pos:stop], stop
     return type_tag, struct.unpack_from(f">{nelems}{fmt}", buf, pos), stop
+
+
+def _read_var_head(buf: bytes, pos: int, end: int) -> tuple[tuple, list[str], int, int]:
+    """Variable payload at ``pos`` up to its attributes: its ``TYPES`` entry,
+    its dimension names, its attribute count and the offset of the first one."""
+    if pos + 8 > end:
+        raise Truncated(f"record needs a variable type and rank at offset {pos}")
+    tag, ndims = _U32X2.unpack_from(buf, pos)
+    entry = TYPES.get(tag)
+    if entry is None:
+        raise CorruptHeader(f"unknown type tag {tag} at offset {pos}")
+    pos += 8
+    dim_names = []
+    for _ in range(ndims):
+        dim_name, pos = _read_name(buf, pos, end)
+        dim_names.append(dim_name)
+    if pos + 4 > end:
+        raise Truncated(f"record needs an attribute count at offset {pos}")
+    return entry, dim_names, _U32.unpack_from(buf, pos)[0], pos + 4
 
 
 def decode_record(buf: bytes) -> tuple[ObjectKind, str, Payload]:
@@ -151,21 +202,7 @@ def decode_record(buf: bytes) -> tuple[ObjectKind, str, Payload]:
         type_tag, values, pos = _read_typed_values(buf, pos, end)
         payload = AttPayload(type_tag, values)
     else:
-        if pos + 8 > end:
-            raise Truncated(f"record needs a variable type and rank at offset {pos}")
-        tag, ndims = _U32X2.unpack_from(buf, pos)
-        entry = TYPES.get(tag)
-        if entry is None:
-            raise CorruptHeader(f"unknown type tag {tag} at offset {pos}")
-        pos += 8
-        dim_names = []
-        for _ in range(ndims):
-            dim_name, pos = _read_name(buf, pos, end)
-            dim_names.append(dim_name)
-        if pos + 4 > end:
-            raise Truncated(f"record needs an attribute count at offset {pos}")
-        natts = _U32.unpack_from(buf, pos)[0]
-        pos += 4
+        entry, dim_names, natts, pos = _read_var_head(buf, pos, end)
         atts = []
         for _ in range(natts):
             att_name, pos = _read_name(buf, pos, end)
@@ -175,6 +212,127 @@ def decode_record(buf: bytes) -> tuple[ObjectKind, str, Payload]:
     if pos != end:
         raise CorruptHeader(f"{end - pos} bytes left over after the record")
     return kind, full_name, payload
+
+
+# the classic header that classic_from_records writes: version 5 widths
+_CNT, _PAIR, _TAIL, _, _CMAX, _OMAX = _WIDTHS[5]
+
+
+def _put_att(put, name: str, seen: set, owner: str | None, rec: bytes, pos: int, end: int) -> int:
+    """Write the record's attribute body at ``pos`` as the classic attribute
+    ``name``, its values copied across; returns the offset past the body."""
+    (type_tag, _, fmt), nelems, start, stop = _att_span(rec, pos, end)
+    put(_name_record(name, _CNT, _CMAX))
+    if name in seen:
+        raise DuplicateName(_owned("attribute", name, owner))
+    seen.add(name)
+    if not nelems and fmt is not None:
+        raise CorruptHeader(f"numeric {_owned('attribute', name, owner)} has no values")
+    put(_PAIR.pack(type_tag, nelems))
+    put(rec[start:stop])
+    put(_PADS[-(stop - start) & 3])
+    return stop
+
+
+def classic_from_records(records) -> bytes:
+    """Classic version 5 header of canonical ``records``, given in file order.
+
+    One pass over the records, with no decoded objects in between: names and
+    big-endian attribute values are copied across, dimension names resolve
+    to ids through one dict, and variables' data is placed from the header's
+    end rounded up to ``DEFAULT_ALIGN``.  The bytes equal ``encode_classic``
+    of ``compute_offsets(build_classic_header(decoded records), encoded_size,
+    DEFAULT_ALIGN, 5)``, and so do the checks: the record decoder's
+    ``Truncated``/``CorruptHeader``, ``validate_name``, dimension lengths of
+    at least 1, ``DanglingDimRef``, duplicate names, numeric attributes with
+    no values and the version's widths.  Malformed input raises only
+    ParaheadError.
+    """
+    dims: list[bytes] = []
+    gatts: list[bytes] = []
+    dim_ids: dict[str, int] = {}
+    lengths: list[int] = []
+    gatt_names: set[str] = set()
+    var_names: set[str] = set()
+    pending = []  # per variable: name, name record, TYPES entry, dim names, attributes
+    for rec in records:
+        end = len(rec)
+        if end < 1:
+            raise Truncated("empty record")
+        kind = KINDS.get(rec[0])
+        if kind is None:
+            raise CorruptHeader(f"unknown record kind {rec[0]}")
+        name, pos = _read_name(rec, 1, end)
+        if kind is ObjectKind.DIMENSION:
+            if pos + 8 > end:
+                raise Truncated(f"record needs a dimension length at offset {pos}")
+            length = _U64.unpack_from(rec, pos)[0]
+            pos += 8
+            if pos != end:
+                raise CorruptHeader(f"{end - pos} bytes left over after the record")
+            dims.append(_name_record(name, _CNT, _CMAX))
+            if length < 1:
+                raise UnsupportedFeature(f"dimension {name!r} has length {length}")
+            if length > _CMAX:
+                raise UnrepresentableValue(f"dimension length {length} exceeds version width")
+            if name in dim_ids:
+                raise DuplicateName(f"dimension {name!r}")
+            dim_ids[name] = len(lengths)
+            lengths.append(length)
+            dims.append(_CNT.pack(length))
+        elif kind is ObjectKind.ATTRIBUTE:
+            pos = _put_att(gatts.append, name, gatt_names, None, rec, pos, end)
+            if pos != end:
+                raise CorruptHeader(f"{end - pos} bytes left over after the record")
+        else:
+            entry, dim_names, natts, pos = _read_var_head(rec, pos, end)
+            atts = [_list_head(_PAIR, TAG_ATTRIBUTES, natts, _CMAX, "attribute")]
+            seen: set[str] = set()
+            for _ in range(natts):
+                att_name, pos = _read_name(rec, pos, end)
+                pos = _put_att(atts.append, att_name, seen, name, rec, pos, end)
+            if pos != end:
+                raise CorruptHeader(f"{end - pos} bytes left over after the record")
+            name_rec = _name_record(name, _CNT, _CMAX)
+            if name in var_names:
+                raise DuplicateName(f"variable {name!r}")
+            var_names.add(name)
+            pending.append((name, name_rec, entry, dim_names, b"".join(atts)))
+
+    vars_: list[bytes] = []
+    tails = []  # per variable: the index of its tail in vars_, type tag and vsize
+    for name, name_rec, (type_tag, size, _), dim_names, atts in pending:
+        refs = []
+        for dim_name in dim_names:
+            ref = dim_ids.get(dim_name)
+            if ref is None:
+                raise DanglingDimRef(
+                    f"variable {name!r} references unknown dimension {dim_name!r}"
+                )
+            refs.append(ref)
+            size *= lengths[ref]
+        vars_ += (name_rec, _CNT.pack(len(refs)), struct.pack(f">{len(refs)}Q", *refs), atts)
+        tails.append((len(vars_), type_tag, size + (-size & 3)))
+        vars_.append(b"")  # the tail, once the data section's start is known
+
+    parts = [MAGIC_PREFIX, b"\x05", _CNT.pack(0)]
+    parts.append(_list_head(_PAIR, TAG_DIMENSIONS, len(lengths), _CMAX, "dimension"))
+    parts += dims
+    parts.append(_list_head(_PAIR, TAG_ATTRIBUTES, len(gatt_names), _CMAX, "attribute"))
+    parts += gatts
+    parts.append(_list_head(_PAIR, TAG_VARIABLES, len(pending), _CMAX, "variable"))
+    begin = align_up(
+        sum(map(len, parts)) + sum(map(len, vars_)) + len(tails) * _TAIL.size, DEFAULT_ALIGN
+    )
+    for i, type_tag, vsize in tails:
+        if vsize > _CMAX:
+            raise UnrepresentableValue(f"variable size {vsize} exceeds version width")
+        if begin > _OMAX:
+            raise UnrepresentableValue(f"variable begin {begin} exceeds version width")
+        vars_[i] = _TAIL.pack(type_tag, vsize, begin)
+        begin += vsize
+    parts += vars_
+    return b"".join(parts)
 
 
 def record_name(rec: bytes) -> tuple[bytes, str]:

@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass
 
 from .classic import AttributeDef, TypeTag
-from .errors import IndivisiblePartition
+from .errors import IndivisiblePartition, TooManyConflicts
 from .records import DimPayload, ObjectKind, Payload, VarPayload
 
 # Serialized metadata per variable tracks the reference datasets' ratio of
@@ -231,7 +231,10 @@ def _inject_conflicts(spec, per_rank, var_counts, dim_counts):
     counts = var_counts if spec.conflict_mode == "type_mismatch" else dim_counts
     targets = [(r, i) for r in range(spec.nranks) for i in range(counts[r])]
     if len(targets) < spec.conflict_count:
-        raise ValueError("not enough unique objects to host the injected conflicts")
+        raise TooManyConflicts(
+            f"{spec.conflict_count} injected conflicts need as many unique objects "
+            f"to host them; the workload has {len(targets)}"
+        )
     injected = []
     n_shared_dims = sum(
         1 for d in per_rank[0] if d.kind is ObjectKind.DIMENSION

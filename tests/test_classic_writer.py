@@ -1,0 +1,193 @@
+"""classic_from_records against the classic pipeline it replaces on rank 0.
+
+The reference decodes each record, builds a Header, places its data and
+encodes it; the writer must give the same bytes, and fail where it fails.
+"""
+
+from __future__ import annotations
+
+import random
+import struct
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from parahead.classic import (
+    DEFAULT_ALIGN,
+    AttributeDef,
+    TypeTag,
+    compute_offsets,
+    encode_classic,
+    encoded_size,
+)
+from parahead.errors import (
+    CorruptHeader,
+    DanglingDimRef,
+    DuplicateName,
+    ParaheadError,
+    Truncated,
+    UnrepresentableValue,
+    UnsupportedFeature,
+)
+from parahead.records import (
+    AttPayload,
+    DimPayload,
+    ObjectKind,
+    VarPayload,
+    classic_from_records,
+    decode_record,
+    encode_record,
+)
+from parahead.strategies import build_classic_header, logical_map_from_classic
+
+from test_list_codec import blocked_workload, headers, shared_blocks_workload
+from test_records import definitions, workload_records
+
+DIM, VAR, ATT = ObjectKind.DIMENSION, ObjectKind.VARIABLE, ObjectKind.ATTRIBUTE
+
+
+def reference(records) -> bytes:
+    header = build_classic_header(decode_record(r) for r in records)
+    return encode_classic(compute_offsets(header, encoded_size(header, 5), DEFAULT_ALIGN, 5), 5)
+
+
+def outcome(write, records):
+    """The bytes ``write`` returns, or the class of the ParaheadError it raises."""
+    try:
+        return write(records)
+    except ParaheadError as exc:
+        return type(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_writer_equals_the_pipeline_on_valid_definitions(data):
+    header = data.draw(headers(5, allow_nan=True))
+    records = [encode_record(kind, name, payload)
+               for (kind, name), payload in logical_map_from_classic(header).items()]
+    records = data.draw(st.permutations(records))  # kinds interleave, as merged records do
+    assert classic_from_records(records) == reference(records)
+
+
+@settings(max_examples=300, deadline=None)
+@given(defs=st.lists(definitions(allow_nan=True), max_size=6))
+def test_writer_fails_where_the_pipeline_fails(defs):
+    records = [encode_record(*d) for d in defs]
+    expected = outcome(reference, records)
+    got = outcome(classic_from_records, records)
+    if isinstance(expected, bytes):
+        assert got == expected
+    else:
+        assert not isinstance(got, bytes)
+
+
+@pytest.mark.parametrize("workload", [blocked_workload, shared_blocks_workload])
+def test_writer_equals_the_pipeline_on_benchmark_shaped_records(workload):
+    records = list(dict.fromkeys(
+        encode_record(d.kind, d.full_name, d.payload)
+        for defs in workload().per_rank
+        for d in defs
+    ))
+    assert classic_from_records(records) == reference(records)
+
+
+def test_mutated_records_raise_only_parahead_errors():
+    records = list(dict.fromkeys(workload_records()))
+    assert isinstance(reference(records), bytes)
+    rand = random.Random(5)
+    rejected = 0
+    for _ in range(300):
+        i = rand.randrange(len(records))
+        buf = bytearray(records[i])
+        if rand.random() < 0.25:
+            del buf[rand.randrange(len(buf)) :]
+        else:
+            for _ in range(rand.randint(1, 3)):
+                buf[rand.randrange(len(buf))] = rand.randrange(256)
+        mutated = records[:i] + [bytes(buf)] + records[i + 1 :]
+        expected = outcome(reference, mutated)
+        got = outcome(classic_from_records, mutated)  # anything else propagates
+        if isinstance(expected, bytes):
+            assert got == expected
+        else:
+            assert not isinstance(got, bytes)
+            rejected += 1
+    assert 0 < rejected < 300
+
+
+_rec = encode_record
+
+
+UNITS = AttributeDef("units", TypeTag.CHAR, b"K")
+BASE = [
+    _rec(DIM, "x", DimPayload(4)),
+    _rec(VAR, "t", VarPayload(TypeTag.INT, ("x", "y"), (UNITS,))),
+    _rec(ATT, "title", AttPayload(TypeTag.CHAR, b"run")),
+    _rec(DIM, "y", DimPayload(3)),
+    _rec(ATT, "range", AttPayload(TypeTag.DOUBLE, (0.5, 2.0))),
+    _rec(DIM, "z", DimPayload(2)),  # no variable uses it
+]
+T = BASE[1]
+NO_VALUES = struct.pack(">II", int(TypeTag.INT), 0)
+EMPTY_CHAR = _rec(
+    VAR, "t", VarPayload(TypeTag.INT, ("x",), (AttributeDef("u", TypeTag.CHAR, b""),))
+)
+
+
+@pytest.mark.parametrize("index, record, error", [
+    pytest.param(5, _rec(DIM, "a//b", DimPayload(4)), CorruptHeader, id="bad-dim-name"),
+    pytest.param(1, _rec(VAR, "/t", VarPayload(TypeTag.INT, ("x",))), CorruptHeader,
+                 id="bad-var-name"),
+    pytest.param(2, _rec(ATT, "tit\tle", AttPayload(TypeTag.CHAR, b"")), CorruptHeader,
+                 id="bad-attribute-name"),
+    pytest.param(1, _rec(VAR, "t", VarPayload(TypeTag.INT, ("x",), (
+        AttributeDef("é", TypeTag.CHAR, b"a"),))), CorruptHeader, id="bad-var-attribute-name"),
+    pytest.param(0, _rec(DIM, "x", DimPayload(0)), UnsupportedFeature, id="zero-length-dim"),
+    pytest.param(0, _rec(DIM, "x", DimPayload(2**63)), UnrepresentableValue,
+                 id="dim-length-past-width"),
+    pytest.param(5, _rec(DIM, "x", DimPayload(3)), DuplicateName, id="duplicate-dim"),
+    pytest.param(1, _rec(VAR, "t", VarPayload(TypeTag.INT, ("x", "w"))), DanglingDimRef,
+                 id="dangling-dim"),
+    pytest.param(2, b"\x03" + struct.pack(">I", 5) + b"title" + NO_VALUES, CorruptHeader,
+                 id="empty-numeric-attribute"),
+    pytest.param(1, EMPTY_CHAR[:-8] + NO_VALUES, CorruptHeader,
+                 id="empty-numeric-var-attribute"),
+    pytest.param(4, _rec(ATT, "title", AttPayload(TypeTag.CHAR, b"x")), DuplicateName,
+                 id="duplicate-attribute"),
+    pytest.param(2, _rec(VAR, "t", VarPayload(TypeTag.INT, ("x",))), DuplicateName,
+                 id="duplicate-var"),
+    pytest.param(1, _rec(VAR, "t", VarPayload(TypeTag.INT, ("x",), (UNITS, UNITS))),
+                 DuplicateName, id="duplicate-var-attribute"),
+    pytest.param(0, b"\x07" + BASE[0][1:], CorruptHeader, id="unknown-kind"),
+    pytest.param(1, T[:6] + struct.pack(">I", 9) + T[10:], CorruptHeader,
+                 id="unknown-var-type-tag"),
+    pytest.param(1, T[:-9] + b"\x00\x00\x00\x09" + T[-5:], CorruptHeader,
+                 id="unknown-var-attribute-type-tag"),
+    pytest.param(4, BASE[4][:10] + b"\x00\x00\x00\x09" + BASE[4][14:], CorruptHeader,
+                 id="unknown-attribute-type-tag"),
+    pytest.param(0, b"", Truncated, id="empty-record"),
+    pytest.param(1, T[:-1], Truncated, id="short-record"),
+    pytest.param(0, BASE[0] + b"\x00", CorruptHeader, id="bytes-after-dim"),
+    pytest.param(1, T + b"\x00", CorruptHeader, id="bytes-after-var"),
+    pytest.param(4, BASE[4] + b"\x00", CorruptHeader, id="bytes-after-attribute"),
+    pytest.param(1, _rec(VAR, "t", VarPayload(TypeTag.DOUBLE, ("x", "x", "y"))),
+                 None, id="valid-repeated-dim"),
+])
+def test_single_faults_raise_what_the_pipeline_raises(index, record, error):
+    records = BASE[:index] + [record] + BASE[index + 1 :]
+    expected = outcome(reference, records)
+    assert outcome(classic_from_records, records) == expected
+    assert expected is error if error else isinstance(expected, bytes)
+
+
+def test_vsize_and_begin_past_the_width_are_unrepresentable():
+    dims = [_rec(DIM, "a", DimPayload(2**31)), _rec(DIM, "c", DimPayload(2**30))]
+    # 2**93 DOUBLE elements: a vsize past 2**63 - 1
+    huge = [_rec(VAR, "v", VarPayload(TypeTag.DOUBLE, ("a", "a", "a")))]
+    # each vsize is 2**62, so the third variable begins past 2**63 - 1
+    late = [_rec(VAR, f"v{i}", VarPayload(TypeTag.INT, ("c", "c"))) for i in range(3)]
+    for records in (dims + huge, dims + late):
+        assert outcome(reference, records) is UnrepresentableValue
+        assert outcome(classic_from_records, records) is UnrepresentableValue
+    assert classic_from_records(dims + late[:2]) == reference(dims + late[:2])

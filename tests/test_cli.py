@@ -202,6 +202,15 @@ def test_verify_reports_conflicts(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_more_conflicts_than_the_workload_holds_is_one_error_line(capsys):
+    # whether N fits depends on the generated workload, so only the run can tell
+    code = main(["bench", "--scale", "0.0005", "--ranks", "2", "--strategies", "lib_hash",
+                 "--inject-conflicts", "100000"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: 100000 injected conflicts") and err.count("\n") == 1
+
+
 def test_console_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "parahead.cli", "bench", "--scale", "0.0005",
@@ -226,6 +235,10 @@ def test_bad_flags_rejected(capsys):
     ["bench", "--shared-fraction", "2"],
     ["bench", "--inject-conflicts", "2:bogus"],
     ["verify", "--ranks", "1", "--inject-conflicts", "1"],
+    ["bench", "--scale", "-1"],
+    ["bench", "--scale", "0"],
+    ["bench", "--scale", "nan"],
+    ["bench", "--scale", "inf"],
 ])
 def test_bad_values_are_usage_errors(argv, capsys):
     # rejected while parsing, before any workload is built

@@ -644,16 +644,31 @@ def test_new_format_rebuilds_shared_block_with_other_ranks_objects(monkeypatch):
     assert new == workload_logical_map(workload)
 
 
-def test_classic_header_build_decodes_each_merged_record_once(monkeypatch):
+@pytest.mark.parametrize("check", ["hash", "sort"])
+def test_lib_writes_the_classic_header_from_merged_records_undecoded(monkeypatch, check):
+    import threading
+
+    from parahead import strategies
+
     workload = gen_workload(small_spec(shared_fraction=0.5, seed=21))
-    merged = {
+    # file order: rank-major, a shared object where its lowest rank defines it
+    merged = list(dict.fromkeys(
         encode_record(d.kind, d.full_name, d.payload)
         for defs in workload.per_rank
         for d in defs
-    }
-    calls = _decodes_per_rank(monkeypatch, workload, run_lib_baseline)
-    assert list(calls) == ["rank-0"]  # only the writer builds the header
-    assert sorted(calls["rank-0"]) == sorted(merged)
+    ))
+    written: dict = {}
+    original = strategies.classic_from_records
+
+    def recording(records):
+        records = list(records)
+        written.setdefault(threading.current_thread().name, []).append(records)
+        return original(records)
+
+    monkeypatch.setattr(strategies, "classic_from_records", recording)
+    run = lambda w, k: run_lib_baseline(w, k, check)
+    assert _decodes_per_rank(monkeypatch, workload, run) == {}
+    assert written == {"rank-0": [merged]}  # only the writer, once
 
 
 def test_app_decodes_each_merged_record_once_per_rank(monkeypatch):
