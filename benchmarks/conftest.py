@@ -79,6 +79,22 @@ def shared_block_bytes(shared_blocks) -> list[bytes]:
 
 
 @pytest.fixture(scope="session")
+def shared_block_records(shared_blocks) -> list[tuple[str, list[bytes], int]]:
+    """Per block: its path, its objects' records and its first variable's begin."""
+    return [
+        (
+            b.block_path,
+            [
+                encode_record(kind, name, payload)
+                for (kind, name), payload in logical_map_from_classic(flatten_blocks([b])).items()
+            ],
+            b.content.vars[0].begin,
+        )
+        for b in shared_blocks
+    ]
+
+
+@pytest.fixture(scope="session")
 def blocks_512() -> list[MetadataBlock]:
     rng = random.Random(2)
     contents = [_block_content(rng) for _ in range(512)]

@@ -8,7 +8,7 @@ Run from the repository root::
 from __future__ import annotations
 
 from parahead.classic import decode_classic, encode_classic
-from parahead.newformat import decode_block, encode_block
+from parahead.newformat import block_lists, decode_block, encode_block
 from parahead.records import classic_from_records
 
 
@@ -26,8 +26,16 @@ def test_decode_classic(benchmark, shared_header, shared_header_bytes):
 
 
 def test_encode_blocks(benchmark, shared_blocks, shared_block_bytes):
-    """Every block of the file, as new_format's ranks write them."""
+    """Every block of the file, encoded from decoded objects."""
     assert benchmark(lambda: [encode_block(b) for b in shared_blocks]) == shared_block_bytes
+
+
+def test_block_lists(benchmark, shared_block_records, shared_block_bytes):
+    """Every block of the file, as new_format's ranks write them: from records."""
+    def write():
+        return [block_lists(p, recs).place(begin) for p, recs, begin in shared_block_records]
+
+    assert benchmark(write) == shared_block_bytes
 
 
 def test_decode_blocks(benchmark, shared_blocks, shared_block_bytes):

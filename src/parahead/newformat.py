@@ -28,7 +28,6 @@ from .classic import (
     align_up,
     decode_header_lists,
     encode_header_lists,
-    encoded_size,
     pad4,
     validate_name,
 )
@@ -43,7 +42,7 @@ from .errors import (
     UnrepresentableValue,
     UnsortedIndex,
 )
-from .records import ObjectKind
+from .records import ObjectKind, RecordLists, record_lists
 
 INDEX_MAGIC = b"CDH\x01"
 
@@ -205,12 +204,6 @@ def decode_index_table(buf: bytes) -> IndexTable:
     return read_index_table(BytesSource(buf).read)
 
 
-def block_encoded_size(block: MetadataBlock) -> int:
-    return _path_record_size(block.block_path) + encoded_size(
-        block.content, _BLOCK_VERSION
-    ) - (4 + 8)  # lists only: drop magic + numrecs
-
-
 def encode_block(block: MetadataBlock) -> bytes:
     """Encode one block: path record followed by the classic object lists."""
     try:
@@ -225,6 +218,13 @@ def encode_block(block: MetadataBlock) -> bytes:
         )
     except VALUE_ERRORS as exc:
         raise UnrepresentableValue(f"block value cannot be encoded: {exc}") from exc
+
+
+def block_lists(path: str, records) -> RecordLists:
+    """Unplaced object lists of block ``path`` from the records of its objects,
+    in creation order; each record names its object ``path/local`` (just
+    ``local`` in the root block), and the block stores ``local``."""
+    return record_lists(records, _pack_path(path), len(path) + 1 if path else 0)
 
 
 def decode_block(buf: bytes) -> MetadataBlock:
@@ -250,16 +250,6 @@ class BlockStats:
     n_atts: int
 
 
-def block_stats(block: MetadataBlock) -> BlockStats:
-    return BlockStats(
-        block.block_path,
-        block_encoded_size(block),
-        len(block.content.dims),
-        len(block.content.vars),
-        len(block.content.global_atts),
-    )
-
-
 def layout_from_stats(stats, align: int = DEFAULT_ALIGN) -> IndexTable:
     """Assign file offsets from (path, size, counts) alone; pure in the sorted set."""
     ordered = sorted(stats, key=lambda s: s.block_path)
@@ -276,26 +266,33 @@ def layout_from_stats(stats, align: int = DEFAULT_ALIGN) -> IndexTable:
     return IndexTable(tuple(entries), cursor)
 
 
+def _encoded_layout(blocks, align: int) -> tuple[IndexTable, dict[str, bytes]]:
+    """The index table of a block set, laid out from each block's encoded
+    bytes and counts, and those bytes by path."""
+    raws = {}
+    stats = []
+    for b in blocks:
+        raw = raws[b.block_path] = encode_block(b)
+        c = b.content
+        stats.append(BlockStats(
+            b.block_path, len(raw), len(c.dims), len(c.vars), len(c.global_atts)
+        ))
+    return layout_from_stats(stats, align), raws
+
+
 def layout_blocks(blocks, align: int = DEFAULT_ALIGN) -> IndexTable:
     """Compute the index table for a block set: offsets, sizes, and counts."""
-    return layout_from_stats([block_stats(b) for b in blocks], align)
+    return _encoded_layout(blocks, align)[0]
 
 
 def assemble_image(blocks, align: int = DEFAULT_ALIGN) -> bytes:
     """Serialize a complete file image (index plus blocks) single-threaded."""
-    table = layout_blocks(blocks, align)
+    table, raws = _encoded_layout(blocks, align)
     image = bytearray(table.header_reserve)
     index_bytes = encode_index_table(table)
     image[: len(index_bytes)] = index_bytes
-    by_path = {b.block_path: b for b in blocks}
     for entry in table.entries:
-        raw = encode_block(by_path[entry.block_path])
-        if len(raw) != entry.size:
-            raise CorruptHeader(
-                f"block {entry.block_path!r} encoded to {len(raw)} bytes, "
-                f"index says {entry.size}"
-            )
-        image[entry.offset : entry.offset + entry.size] = raw
+        image[entry.offset : entry.offset + entry.size] = raws[entry.block_path]
     return bytes(image)
 
 

@@ -12,9 +12,10 @@ self-describing::
     attr      = name_rec | u32 type | u32 count | value bytes
 
 All integers big-endian.  Variables reference dimensions by full name:
-numeric ids only exist after end-define assigns the file order.  The classic
-baselines' rank 0 writes the classic header straight from its merged records
-(:func:`classic_from_records`).
+numeric ids only exist after end-define assigns the file order.  Both
+header formats are written straight from records (:func:`record_lists`): the
+classic baselines' rank 0 from its merged records, and each metadata block
+from the records of its objects.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import struct
 import zlib
 from dataclasses import dataclass
 from enum import IntEnum
+from typing import NamedTuple
 
 from .classic import (
     _PADS,
@@ -214,8 +216,9 @@ def decode_record(buf: bytes) -> tuple[ObjectKind, str, Payload]:
     return kind, full_name, payload
 
 
-# the classic header that classic_from_records writes: version 5 widths
+# the object lists that record_lists writes: version 5 widths
 _CNT, _PAIR, _TAIL, _, _CMAX, _OMAX = _WIDTHS[5]
+_CLASSIC_HEAD = MAGIC_PREFIX + b"\x05" + _CNT.pack(0)  # magic and numrecs
 
 
 def _put_att(put, name: str, seen: set, owner: str | None, rec: bytes, pos: int, end: int) -> int:
@@ -234,19 +237,42 @@ def _put_att(put, name: str, seen: set, owner: str | None, rec: bytes, pos: int,
     return stop
 
 
-def classic_from_records(records) -> bytes:
-    """Classic version 5 header of canonical ``records``, given in file order.
+class RecordLists(NamedTuple):
+    """Object lists written from records, all but their variables' ``BEGIN``.
+
+    ``facts`` is (byte size, n_dims, n_vars, n_atts, data bytes).  The size
+    counts the head and does not depend on where the data starts.
+    """
+
+    facts: tuple[int, int, int, int, int]
+    parts: list[bytes]
+    tails: list[tuple[int, int, int]]  # per variable: index in parts, type tag, vsize
+
+    def place(self, begin: int) -> bytes:
+        """The bytes, with the variables' data placed from ``begin`` in id order."""
+        parts = self.parts
+        for i, type_tag, vsize in self.tails:
+            if vsize > _CMAX:
+                raise UnrepresentableValue(f"variable size {vsize} exceeds version width")
+            if begin > _OMAX:
+                raise UnrepresentableValue(f"variable begin {begin} exceeds version width")
+            parts[i] = _TAIL.pack(type_tag, vsize, begin)
+            begin += vsize
+        return b"".join(parts)
+
+
+def record_lists(records, head: bytes, cut: int = 0) -> RecordLists:
+    """Version 5 object lists of canonical ``records``, given in file order,
+    after ``head``; each name is stored without its first ``cut`` characters.
 
     One pass over the records, with no decoded objects in between: names and
-    big-endian attribute values are copied across, dimension names resolve
-    to ids through one dict, and variables' data is placed from the header's
-    end rounded up to ``DEFAULT_ALIGN``.  The bytes equal ``encode_classic``
-    of ``compute_offsets(build_classic_header(decoded records), encoded_size,
-    DEFAULT_ALIGN, 5)``, and so do the checks: the record decoder's
-    ``Truncated``/``CorruptHeader``, ``validate_name``, dimension lengths of
-    at least 1, ``DanglingDimRef``, duplicate names, numeric attributes with
-    no values and the version's widths.  Malformed input raises only
-    ParaheadError.
+    big-endian attribute values are copied across, and dimension names
+    resolve to ids by full name through one dict, so in a block's lists
+    (``cut`` drops its ``path/``) a dimension of another block dangles.
+    The checks are the record decoder's ``Truncated``/``CorruptHeader``,
+    ``validate_name``, dimension lengths of at least 1, ``DanglingDimRef``,
+    duplicate names, numeric attributes with no values and the version's
+    widths.  Malformed input raises only ParaheadError.
     """
     dims: list[bytes] = []
     gatts: list[bytes] = []
@@ -270,7 +296,7 @@ def classic_from_records(records) -> bytes:
             pos += 8
             if pos != end:
                 raise CorruptHeader(f"{end - pos} bytes left over after the record")
-            dims.append(_name_record(name, _CNT, _CMAX))
+            dims.append(_name_record(name[cut:], _CNT, _CMAX))
             if length < 1:
                 raise UnsupportedFeature(f"dimension {name!r} has length {length}")
             if length > _CMAX:
@@ -281,7 +307,7 @@ def classic_from_records(records) -> bytes:
             lengths.append(length)
             dims.append(_CNT.pack(length))
         elif kind is ObjectKind.ATTRIBUTE:
-            pos = _put_att(gatts.append, name, gatt_names, None, rec, pos, end)
+            pos = _put_att(gatts.append, name[cut:], gatt_names, None, rec, pos, end)
             if pos != end:
                 raise CorruptHeader(f"{end - pos} bytes left over after the record")
         else:
@@ -293,14 +319,19 @@ def classic_from_records(records) -> bytes:
                 pos = _put_att(atts.append, att_name, seen, name, rec, pos, end)
             if pos != end:
                 raise CorruptHeader(f"{end - pos} bytes left over after the record")
-            name_rec = _name_record(name, _CNT, _CMAX)
+            name_rec = _name_record(name[cut:], _CNT, _CMAX)
             if name in var_names:
                 raise DuplicateName(f"variable {name!r}")
             var_names.add(name)
             pending.append((name, name_rec, entry, dim_names, b"".join(atts)))
 
-    vars_: list[bytes] = []
-    tails = []  # per variable: the index of its tail in vars_, type tag and vsize
+    parts = [head, _list_head(_PAIR, TAG_DIMENSIONS, len(lengths), _CMAX, "dimension")]
+    parts += dims
+    parts.append(_list_head(_PAIR, TAG_ATTRIBUTES, len(gatt_names), _CMAX, "attribute"))
+    parts += gatts
+    parts.append(_list_head(_PAIR, TAG_VARIABLES, len(pending), _CMAX, "variable"))
+    tails = []
+    data = 0
     for name, name_rec, (type_tag, size, _), dim_names, atts in pending:
         refs = []
         for dim_name in dim_names:
@@ -311,36 +342,33 @@ def classic_from_records(records) -> bytes:
                 )
             refs.append(ref)
             size *= lengths[ref]
-        vars_ += (name_rec, _CNT.pack(len(refs)), struct.pack(f">{len(refs)}Q", *refs), atts)
-        tails.append((len(vars_), type_tag, size + (-size & 3)))
-        vars_.append(b"")  # the tail, once the data section's start is known
+        size += -size & 3
+        parts += (name_rec, _CNT.pack(len(refs)), struct.pack(f">{len(refs)}Q", *refs), atts)
+        tails.append((len(parts), type_tag, size))
+        parts.append(b"")  # the tail, once the data section's start is known
+        data += size
+    nbytes = sum(map(len, parts)) + len(tails) * _TAIL.size
+    return RecordLists((nbytes, len(lengths), len(pending), len(gatt_names), data), parts, tails)
 
-    parts = [MAGIC_PREFIX, b"\x05", _CNT.pack(0)]
-    parts.append(_list_head(_PAIR, TAG_DIMENSIONS, len(lengths), _CMAX, "dimension"))
-    parts += dims
-    parts.append(_list_head(_PAIR, TAG_ATTRIBUTES, len(gatt_names), _CMAX, "attribute"))
-    parts += gatts
-    parts.append(_list_head(_PAIR, TAG_VARIABLES, len(pending), _CMAX, "variable"))
-    begin = align_up(
-        sum(map(len, parts)) + sum(map(len, vars_)) + len(tails) * _TAIL.size, DEFAULT_ALIGN
-    )
-    for i, type_tag, vsize in tails:
-        if vsize > _CMAX:
-            raise UnrepresentableValue(f"variable size {vsize} exceeds version width")
-        if begin > _OMAX:
-            raise UnrepresentableValue(f"variable begin {begin} exceeds version width")
-        vars_[i] = _TAIL.pack(type_tag, vsize, begin)
-        begin += vsize
-    parts += vars_
-    return b"".join(parts)
+
+def classic_from_records(records) -> bytes:
+    """Classic version 5 header of canonical ``records``, given in file order.
+
+    Its variables' data is placed from the header's end rounded up to
+    ``DEFAULT_ALIGN``.  The bytes equal ``encode_classic`` of
+    ``compute_offsets(build_classic_header(decoded records), encoded_size,
+    DEFAULT_ALIGN, 5)``, and so do the checks (see :func:`record_lists`).
+    """
+    lists = record_lists(records, _CLASSIC_HEAD)
+    return lists.place(align_up(lists.facts[0], DEFAULT_ALIGN))
 
 
 def record_name(rec: bytes) -> tuple[bytes, str]:
     """Namespace key (kind byte + UTF-8 name bytes) and full name of a record,
-    read without decoding its payload."""
-    stop = 5 + int.from_bytes(rec[1:5], "big")
-    raw = rec[5:stop]
-    return rec[:1] + raw, raw.decode("utf-8")
+    read without decoding its payload: a short record raises ``Truncated``,
+    a name that is not UTF-8 ``CorruptHeader``."""
+    name, stop = _read_name(rec, 1, len(rec))
+    return rec[:1] + rec[5:stop], name
 
 
 def pack_stream(records: list[bytes]) -> bytes:

@@ -30,9 +30,9 @@ from .classic import (
     Header,
     VariableDef,
     align_up,
-    compute_offsets,
+    compute_offsets,  # noqa: F401  perfbench's tracer rebinds these by name
     decode_classic,
-    encode_classic,  # noqa: F401  perfbench's tracer rebinds these two by name
+    encode_classic,  # noqa: F401
     encoded_size,  # noqa: F401
     var_size_bytes,
 )
@@ -54,11 +54,10 @@ from .newformat import (
     BlockStats,
     BytesSource,
     IndexTable,
-    MetadataBlock,
-    block_stats,
+    block_lists,
     check_block_entry,
     decode_block,
-    encode_block,
+    encode_block,  # noqa: F401
     encode_index_table,
     gid_bases,
     layout_from_stats,
@@ -70,9 +69,10 @@ from .records import (
     AttPayload,
     DimPayload,
     ObjectKind,
+    RecordLists,
     VarPayload,
     classic_from_records,
-    decode_record,
+    decode_record,  # noqa: F401
     digest64,
     encode_record,
     pack_stream,
@@ -288,11 +288,6 @@ def build_classic_header(defs, path: str = "") -> Header:
     return Header(tuple(dims), tuple(gatts), tuple(vars_))
 
 
-def _defs(objs):
-    """(kind, full name, payload) triples of stored objects, no decoding."""
-    return ((o.kind, o.full_name, o.payload) for o in objs)
-
-
 def _write_classic_root(ctx: RankContext, records) -> None:
     """Rank 0 writes the classic header of the merged ``records``, in file order."""
     if ctx.rank == 0:
@@ -374,11 +369,6 @@ def run_lib_baseline(
 _FACTS = struct.Struct(">QQQQQ")
 
 
-def _block_facts(path: str, content: Header) -> tuple[BlockStats, int]:
-    """Layout facts of a block: its stats and the data bytes of its variables."""
-    return block_stats(MetadataBlock(path, content)), sum(v.vsize for v in content.vars)
-
-
 def run_new_format(
     workload: Workload,
     hash_size: int = DEFAULT_HASH_SIZE,
@@ -402,26 +392,21 @@ def run_new_format(
                 own_blocks.setdefault(path, []).append(obj)
 
         with ctx.phase("exchange"):
-            # Each own block's content is built once.  A rank's part of a
-            # shared block may use a dimension another rank defines: its
-            # facts are never read, as the merged block replaces them, and
-            # the error stands if no other rank claims the block.
-            contents: dict[str, Header] = {}
+            # Each own block's lists are made once.  A rank's part of a shared
+            # block may use a dimension another rank defines: its facts are
+            # never read, as the merged block replaces them, and the error
+            # stands if no other rank claims the block.
+            lists: dict[str, RecordLists] = {}
             unresolved: dict[str, DanglingDimRef] = {}
-            own_facts: dict[str, tuple[BlockStats, int]] = {}
+            own_facts = []
             for p, objs in own_blocks.items():
                 try:
-                    contents[p] = build_classic_header(_defs(objs), p)
+                    lists[p] = block_lists(p, (o.record for o in objs))
                 except DanglingDimRef as exc:
                     unresolved[p] = exc
-                    own_facts[p] = (BlockStats(p, 0, 0, 0, 0), 0)
-                else:
-                    own_facts[p] = _block_facts(p, contents[p])
-            gathered_facts = ctx.gather(pack_stream([
-                _FACTS.pack(s.size, s.n_dims, s.n_vars, s.n_atts, data_size)
-                + s.block_path.encode("ascii")
-                for s, data_size in own_facts.values()
-            ]))
+                facts = lists[p].facts if p in lists else (0, 0, 0, 0, 0)
+                own_facts.append(_FACTS.pack(*facts) + p.encode("ascii"))
+            gathered_facts = ctx.gather(pack_stream(own_facts))
 
         with ctx.phase("consistency_check"):
             # every rank validates its own namespace in its own table, from
@@ -432,16 +417,14 @@ def run_new_format(
             ))
 
             claims: dict[str, list[int]] = {}
-            facts: dict[str, tuple[BlockStats, int]] = {}
+            facts: dict[str, tuple[int, int, int, int, int]] = {}
             block_names = []
             block_digest = digest64(b"\xff")
             for peer, raw in enumerate(gathered_facts):
                 for entry in unpack_stream(raw):
-                    size, n_dims, n_vars, n_atts, data_size = _FACTS.unpack_from(entry)
                     path = entry[_FACTS.size :].decode("ascii")
                     claims.setdefault(path, []).append(peer)
-                    stats = BlockStats(path, size, n_dims, n_vars, n_atts)
-                    facts.setdefault(path, (stats, data_size))
+                    facts.setdefault(path, _FACTS.unpack_from(entry))
                     block_names.append(NameRecord(path, peer, block_digest, b"\xff"))
             block_report = hash_check(block_names, hash_size)
             ctx.checked(block_report)
@@ -454,27 +437,26 @@ def run_new_format(
                 for obj in own_blocks[path]
             ])
             ctx.checked(hash_check(shared_records, hash_size))
-            merged_shared: dict[str, list[bytes]] = {p: [] for p in shared_paths}
+            merged_shared: dict[str, list[NameRecord]] = {p: [] for p in shared_paths}
             for rec in merge_records(shared_records)[0]:
                 path, _ = split_full_name(rec.full_name)
-                merged_shared[path].append(rec.payload_ref)
+                merged_shared[path].append(rec)
 
         with ctx.phase("header_write"):
-            # A shared block is rebuilt from its merged records, unless they
-            # are this rank's own records in its own order.
+            # A shared block is made again from its merged records, unless
+            # they are this rank's own records in its own order.
             for path in sorted(claims):
                 if path in shared_paths:
-                    merged = merged_shared[path]
+                    merged = [rec.payload_ref for rec in merged_shared[path]]
                     own = [o.record for o in own_blocks.get(path, ())]
                     if path in unresolved or merged != own:
-                        defs = (decode_record(rec) for rec in merged)
-                        contents[path] = build_classic_header(defs, path)
-                        facts[path] = _block_facts(path, contents[path])
-                    else:
-                        facts[path] = own_facts[path]
+                        lists[path] = block_lists(path, merged)
+                    facts[path] = lists[path].facts
                 elif path in unresolved:
                     raise unresolved[path]
-            table = layout_from_stats([stats for stats, _ in facts.values()], align)
+            table = layout_from_stats(
+                [BlockStats(path, *f[:4]) for path, f in facts.items()], align
+            )
             index_raw = encode_index_table(table)
             ctx.acquire(len(index_raw))  # replicated index copy
 
@@ -483,25 +465,20 @@ def run_new_format(
             for entry in table.entries:
                 path = entry.block_path
                 start = data_cursor
-                data_cursor += facts[path][1]
-                if min(claims[path]) != ctx.rank:
-                    continue
-                content = compute_offsets(contents[path], start, 1)
-                raw = encode_block(MetadataBlock(path, content))
-                if len(raw) != entry.size:
-                    raise RuntimeError(
-                        f"block {path!r} encoded to {len(raw)} bytes, "
-                        f"layout promised {entry.size}"
-                    )
-                ctx.write(entry.offset, raw, f"block:{path}")
+                data_cursor += facts[path][4]
+                if min(claims[path]) == ctx.rank:
+                    ctx.write(entry.offset, lists[path].place(start), f"block:{path}")
             if ctx.rank == 0:
                 ctx.write(0, index_raw, "index_table")
 
             # GID assignment: block-sorted order, creation order within block
             bases = gid_bases(table.entries)
             gids: dict = {}
-            for path, content in contents.items():
-                _add_gids(gids, path, content, bases[path])
+            for path, objs in own_blocks.items():
+                if path not in shared_paths:
+                    _add_gids(gids, ((o.kind, o.full_name) for o in objs), bases[path])
+            for path, recs in merged_shared.items():
+                _add_gids(gids, ((KINDS[r.key[0]], r.full_name) for r in recs), bases[path])
             store.finalize_gids(gids)
 
     return _run(StrategyKind.NEW_FORMAT, workload, body, lockstep, order_seed)
@@ -598,10 +575,10 @@ class HeaderHandle:
         path, _ = split_full_name(full_name)
         gids = self._gids.get(path)
         if gids is None:
-            content = self._content(path)
+            objects = self._load_block(path)
             if self._gid_base is None:
                 self._gid_base = gid_bases(self._table.entries)
-            gids = _add_gids({}, path, content, self._gid_base[path])
+            gids = _add_gids({}, objects, self._gid_base[path])
             self._gids[path] = gids
         try:
             return gids[(kind, full_name)]
@@ -645,18 +622,14 @@ def _add_payloads(out: dict, header: Header, path: str = "") -> dict:
     return out
 
 
-def _add_gids(out: dict, path: str, content: Header, base: dict) -> dict:
-    """Add (kind, full name) -> GID for every object of block ``path`` to
-    ``out``: its kind's ``base`` plus its position in the block."""
-    prefix = f"{path}/" if path else ""
-    for kind, objs in (
-        (ObjectKind.DIMENSION, content.dims),
-        (ObjectKind.VARIABLE, content.vars),
-        (ObjectKind.ATTRIBUTE, content.global_atts),
-    ):
-        first = base[kind]
-        for i, obj in enumerate(objs):
-            out[(kind, prefix + obj.name)] = first + i
+def _add_gids(out: dict, keys, base: dict) -> dict:
+    """Add (kind, full name) -> GID for each of one block's ``keys``, in
+    block order, to ``out``: its kind's ``base`` plus the keys of that kind
+    before it."""
+    nxt = dict(base)
+    for key in keys:
+        out[key] = nxt[key[0]]
+        nxt[key[0]] += 1
     return out
 
 

@@ -16,6 +16,9 @@ from parahead.classic import (
     compute_offsets,
     encoded_size,
 )
+from parahead.newformat import flatten_blocks
+from parahead.records import encode_record
+from parahead.strategies import logical_map_from_classic
 
 NAME_ALPHABET = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_-."
 
@@ -32,6 +35,14 @@ def random_name(rng: random.Random, used: set, max_len: int = 12) -> str:
         if name not in used:
             used.add(name)
             return name
+
+
+def block_records(block) -> list[bytes]:
+    """The records of a block's objects, named ``path/local``, in block order."""
+    return [
+        encode_record(kind, name, payload)
+        for (kind, name), payload in logical_map_from_classic(flatten_blocks([block])).items()
+    ]
 
 
 def random_values(rng: random.Random, type_tag: TypeTag):

@@ -1,7 +1,8 @@
-"""classic_from_records against the classic pipeline it replaces on rank 0.
+"""The records writer against the pipelines it replaces: rank 0's classic
+header (classic_from_records) and new_format's blocks (block_lists).
 
-The reference decodes each record, builds a Header, places its data and
-encodes it; the writer must give the same bytes, and fail where it fails.
+The references decode each record, build a Header, place its data and
+encode it; the writer must give the same bytes, and fail where they fail.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from parahead.errors import (
     UnrepresentableValue,
     UnsupportedFeature,
 )
+from parahead.newformat import MetadataBlock, block_lists, encode_block, split_full_name
 from parahead.records import (
     AttPayload,
     DimPayload,
@@ -38,10 +40,12 @@ from parahead.records import (
     classic_from_records,
     decode_record,
     encode_record,
+    record_name,
 )
 from parahead.strategies import build_classic_header, logical_map_from_classic
 
-from test_list_codec import blocked_workload, headers, shared_blocks_workload
+from conftest import block_records
+from test_list_codec import block_paths, blocked_workload, headers, shared_blocks_workload
 from test_records import definitions, workload_records
 
 DIM, VAR, ATT = ObjectKind.DIMENSION, ObjectKind.VARIABLE, ObjectKind.ATTRIBUTE
@@ -191,3 +195,89 @@ def test_vsize_and_begin_past_the_width_are_unrepresentable():
         assert outcome(reference, records) is UnrepresentableValue
         assert outcome(classic_from_records, records) is UnrepresentableValue
     assert classic_from_records(dims + late[:2]) == reference(dims + late[:2])
+
+
+# --- block writer -----------------------------------------------------------------
+
+
+def placed_block(path: str, records, start: int) -> MetadataBlock:
+    header = build_classic_header((decode_record(r) for r in records), path)
+    return MetadataBlock(path, compute_offsets(header, start, 1))
+
+
+def write_block(path: str, start: int):
+    """The block writer on ``path``'s records, placed from ``start``."""
+    return lambda records: block_lists(path, records).place(start)
+
+
+def block_reference(path: str, start: int):
+    return lambda records: encode_block(placed_block(path, records, start))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), path=block_paths, content=headers(5, local=True, allow_nan=True))
+def test_block_writer_equals_the_pipeline_on_valid_blocks(data, path, content):
+    records = data.draw(st.permutations(block_records(MetadataBlock(path, content))))
+    start = encoded_size(content, 5) + data.draw(st.integers(0, 2**40))
+    block = placed_block(path, records, start)
+    raw = encode_block(block)
+    lists = block_lists(path, records)
+    c = block.content
+    data_bytes = sum(v.vsize for v in c.vars)
+    assert lists.facts == (len(raw), len(c.dims), len(c.vars), len(c.global_atts), data_bytes)
+    assert lists.place(start) == raw
+
+
+def test_mutated_block_records_raise_only_parahead_errors():
+    records = [
+        r for r in dict.fromkeys(workload_records())
+        if split_full_name(record_name(r)[1])[0] == "b00000"
+    ]
+    write, reference = write_block("b00000", 1 << 20), block_reference("b00000", 1 << 20)
+    assert isinstance(reference(records), bytes)
+    rand = random.Random(9)
+    rejected = 0
+    for _ in range(300):
+        i = rand.randrange(len(records))
+        buf = bytearray(records[i])
+        if rand.random() < 0.25:
+            del buf[rand.randrange(len(buf)) :]
+        else:
+            for _ in range(rand.randint(1, 3)):
+                buf[rand.randrange(len(buf))] = rand.randrange(256)
+        mutated = records[:i] + [bytes(buf)] + records[i + 1 :]
+        got = outcome(write, mutated)  # anything else propagates
+        # the writer trusts the caller's path prefix, so it may accept a
+        # record the reference rejects for its name; never the reverse
+        expected = outcome(reference, mutated)
+        if isinstance(expected, bytes):
+            assert got == expected
+        rejected += not isinstance(got, bytes)
+    assert 0 < rejected < 300
+
+
+BLOCK = [
+    _rec(DIM, "p/x", DimPayload(4)),
+    _rec(VAR, "p/t", VarPayload(TypeTag.INT, ("p/x", "p/y"), (UNITS,))),
+    _rec(ATT, "p/title", AttPayload(TypeTag.CHAR, b"run")),
+    _rec(DIM, "p/y", DimPayload(3)),
+    _rec(ATT, "p/range", AttPayload(TypeTag.DOUBLE, (0.5, 2.0))),
+]
+
+
+@pytest.mark.parametrize("index, record, error", [
+    pytest.param(2, _rec(ATT, "p/tit\tle", AttPayload(TypeTag.CHAR, b"")), CorruptHeader,
+                 id="bad-name"),
+    pytest.param(3, _rec(DIM, "p/y", DimPayload(0)), UnsupportedFeature, id="zero-length-dim"),
+    pytest.param(1, _rec(VAR, "p/t", VarPayload(TypeTag.INT, ("p/x", "q/y"))), DanglingDimRef,
+                 id="dim-of-another-block"),
+    pytest.param(4, _rec(ATT, "p/title", AttPayload(TypeTag.CHAR, b"x")), DuplicateName,
+                 id="duplicate-attribute"),
+    pytest.param(2, b"\x03" + struct.pack(">I", 7) + b"p/title" + NO_VALUES, CorruptHeader,
+                 id="empty-numeric-attribute"),
+])
+def test_block_single_faults_raise_what_the_pipeline_raises(index, record, error):
+    records = BLOCK[:index] + [record] + BLOCK[index + 1 :]
+    assert isinstance(outcome(block_reference("p", 4096), BLOCK), bytes)
+    assert outcome(block_reference("p", 4096), records) is error
+    assert outcome(write_block("p", 4096), records) is error

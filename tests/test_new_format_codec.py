@@ -23,7 +23,7 @@ from parahead.newformat import (
     IndexTable,
     MetadataBlock,
     assemble_image,
-    block_encoded_size,
+    block_lists,
     decode_block,
     decode_image,
     decode_index_table,
@@ -35,7 +35,7 @@ from parahead.newformat import (
     split_full_name,
 )
 
-from conftest import random_header
+from conftest import block_records, random_header
 
 
 def make_entry(path, offset, size, nd=0, nv=0, na=0):
@@ -214,13 +214,16 @@ def test_block_size_hand_computed():
     #   + (8-byte name length + "xy" padded to 4 + 8-byte length)    = 32
     # two empty lists: (4-byte zero tag + 8-byte zero count) each    = 24
     assert len(raw) == 12 + 32 + 24
-    assert block_encoded_size(block) == len(raw)
+    assert block_lists("blk", block_records(block)).facts[0] == len(raw)
 
 
 def test_block_size_matches_encoder(rng):
+    # the block writer's size fact, made before any data is placed
     for _ in range(40):
         block = MetadataBlock(f"q{rng.randrange(100):02d}", random_header(rng, 5))
-        assert block_encoded_size(block) == len(encode_block(block))
+        assert block_lists(block.block_path, block_records(block)).facts[0] == len(
+            encode_block(block)
+        )
 
 
 def test_block_dangling_dim_ref():

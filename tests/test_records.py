@@ -19,6 +19,7 @@ from parahead.records import (
     decode_record,
     encode_record,
     pack_stream,
+    record_name,
     unpack_stream,
 )
 from parahead.workload import gen_workload, spec_for_dataset
@@ -109,6 +110,10 @@ def test_mutated_records_raise_only_parahead_errors():
             for _ in range(rand.randint(1, 3)):
                 buf[rand.randrange(len(buf))] = rand.randrange(256)
         try:
+            record_name(bytes(buf))
+        except ParaheadError:
+            pass
+        try:
             decode_record(bytes(buf))
         except ParaheadError:
             rejected += 1
@@ -144,6 +149,20 @@ VAR_T = encode_record(
 def test_malformed_records_rejected(buf, error):
     with pytest.raises(error):
         decode_record(buf)
+
+
+@pytest.mark.parametrize(
+    "buf, error",
+    [
+        pytest.param(b"", Truncated, id="empty"),
+        pytest.param(DIM_X[:3], Truncated, id="short-name-length"),
+        pytest.param(b"\x01\x00\x00\x00\tab", Truncated, id="name-past-end"),
+        pytest.param(DIM_X[:5] + b"\xff" + DIM_X[6:], CorruptHeader, id="name-not-utf8"),
+    ],
+)
+def test_malformed_record_names_rejected(buf, error):
+    with pytest.raises(error):
+        record_name(buf)
 
 
 def test_truncated_streams_rejected():

@@ -579,56 +579,54 @@ def _with_own_part_of_shared_block(workload) -> Workload:
     return Workload(workload.spec, per_rank)
 
 
-def test_new_format_decodes_each_merged_shared_record_once(monkeypatch):
-    # every rank's part of the shared block differs from the merged block
-    workload = _with_own_part_of_shared_block(
-        gen_workload(small_spec(shared_fraction=0.5, seed=21))
-    )
-    claims: dict = {}
-    for rank, defs in enumerate(workload.per_rank):
-        for d in defs:
-            claims.setdefault(split_full_name(d.full_name)[0], set()).add(rank)
-    merged_shared = {
-        encode_record(d.kind, d.full_name, d.payload)
-        for defs in workload.per_rank
-        for d in defs
-        if len(claims[split_full_name(d.full_name)[0]]) > 1
-    }
-    assert merged_shared
-    calls = _decodes_per_rank(monkeypatch, workload)
-    assert len(calls) == workload.nranks
-    for recs in calls.values():
-        assert sorted(recs) == sorted(merged_shared)
-
-
-def _builds_per_rank(monkeypatch, workload) -> dict:
-    """Block paths each rank thread passes to build_classic_header in new_format."""
+def _blocks_made_per_rank(monkeypatch, workload) -> dict:
+    """(path, records) of every block each rank thread of new_format makes."""
     import threading
 
     from parahead import strategies
 
-    builds: dict = {}
-    original = strategies.build_classic_header
+    made: dict = {}
+    original = strategies.block_lists
 
-    def counting(defs, path=""):
-        builds.setdefault(threading.current_thread().name, []).append(path)
-        return original(defs, path)
+    def recording(path, records):
+        records = list(records)
+        made.setdefault(threading.current_thread().name, []).append((path, records))
+        return original(path, records)
 
-    monkeypatch.setattr(strategies, "build_classic_header", counting)
+    monkeypatch.setattr(strategies, "block_lists", recording)
     run_new_format(workload, 64)
-    return builds
+    return made
+
+
+def test_new_format_makes_merged_shared_block_from_undecoded_records(monkeypatch):
+    # every rank's part of the shared block differs from the merged block, so
+    # each rank makes it again from the merged records, in file order
+    workload = _with_own_part_of_shared_block(
+        gen_workload(small_spec(shared_fraction=0.5, seed=21))
+    )
+    merged = list(dict.fromkeys(
+        encode_record(d.kind, d.full_name, d.payload)
+        for defs in workload.per_rank
+        for d in defs
+        if d.full_name.startswith("shared/")
+    ))
+    made = _blocks_made_per_rank(monkeypatch, workload)
+    assert len(made) == workload.nranks
+    for blocks in made.values():
+        assert [recs for path, recs in blocks if path == "shared"][-1] == merged
+    assert _decodes_per_rank(monkeypatch, workload) == {}
 
 
 def test_new_format_builds_identical_shared_blocks_once(monkeypatch):
-    # every rank defines the shared block identically: its exchange-phase
-    # build is the merged block, so nothing is rebuilt or decoded
+    # every rank defines the shared block identically: the lists it made of
+    # its own part are the merged block's, so nothing is made again or decoded
     workload = gen_workload(small_spec(shared_fraction=0.5, seed=21))
-    builds = _builds_per_rank(monkeypatch, workload)
-    assert len(builds) == workload.nranks
+    made = _blocks_made_per_rank(monkeypatch, workload)
+    assert len(made) == workload.nranks
     for rank, defs in enumerate(workload.per_rank):
         own = {split_full_name(d.full_name)[0] for d in defs}
         assert "shared" in own
-        assert sorted(builds[f"rank-{rank}"]) == sorted(own)
+        assert sorted(path for path, _ in made[f"rank-{rank}"]) == sorted(own)
     assert _decodes_per_rank(monkeypatch, workload) == {}
 
 
@@ -636,10 +634,10 @@ def test_new_format_rebuilds_shared_block_with_other_ranks_objects(monkeypatch):
     workload = _with_own_part_of_shared_block(
         gen_workload(small_spec(shared_fraction=0.5, seed=21))
     )
-    builds = _builds_per_rank(monkeypatch, workload)
+    made = _blocks_made_per_rank(monkeypatch, workload)
     for rank, defs in enumerate(workload.per_rank):
         own = {split_full_name(d.full_name)[0] for d in defs}
-        assert sorted(builds[f"rank-{rank}"]) == sorted([*own, "shared"])
+        assert sorted(path for path, _ in made[f"rank-{rank}"]) == sorted([*own, "shared"])
     new = logical_map_from_image(run_new_format(workload, 64).image.to_bytes())
     assert new == workload_logical_map(workload)
 
@@ -844,3 +842,25 @@ def test_runs_are_deterministic_across_schedulers():
         for r in results
     ]
     assert counter_view[0] == counter_view[1] == counter_view[2]
+
+
+def test_perfbench_tracer_names_resolve():
+    # perfbench/tracer.py rebinds these functions on parahead.strategies and
+    # wraps these methods, all by name: a missing one breaks `--trace 1`
+    import importlib.util
+    from pathlib import Path
+
+    import parahead
+    from parahead import strategies
+
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for names in tracer.REBOUND.values():
+        for name in names:
+            assert callable(getattr(strategies, name, None)), name
+    for module, cls, methods in tracer.METHODS.values():
+        klass = getattr(getattr(parahead, module), cls)
+        for method in methods:
+            assert callable(getattr(klass, method, None)), f"{cls}.{method}"
