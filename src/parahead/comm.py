@@ -5,8 +5,17 @@ collective are ordered by rank id, so program outputs are independent of
 thread interleaving.  Two execution modes are provided:
 
 * free-running threads (default): ranks block only at collectives;
-* lockstep: exactly one rank executes at a time and yields at collectives,
-  giving a fully serialized, reproducible schedule for debugging.
+* lockstep: exactly one rank runs at a time, the one holding the turn.  A
+  rank passes the turn when it joins a round without completing it, and when
+  it exits.  The turn goes to the next live rank after it, in rank order,
+  that has not joined the open round; with ``order_seed``, to a seeded choice
+  among those ranks.  The rank that completes a round publishes it and runs
+  on, so each round runs round-robin from the previous round's publisher
+  (the first round runs 0..P-1).
+
+Both schedulers share one rendezvous: a rank deposits its contribution, the
+last rank to arrive publishes the round, and every other rank waits until the
+round it joined has published (in lockstep, also until it holds the turn).
 
 Both modes must produce identical results and counters; only wall times
 differ.  Byte and call counters per rank feed the benchmark reports.
@@ -14,6 +23,7 @@ differ.  Byte and call counters per rank feed the benchmark reports.
 
 from __future__ import annotations
 
+import random
 import struct
 import threading
 import zlib
@@ -49,7 +59,6 @@ class SimComm:
         self._deposits: list[bytes | None] = [None] * nranks
         self._sigs: list[tuple | None] = [None] * nranks
         self._arrived = 0
-        self._exited = nranks  # all exited == next round may start
         self._generation = 0
         self._results: list[bytes] = []
         self._round_error: Exception | None = None
@@ -57,16 +66,9 @@ class SimComm:
         self._stats = [CommStats() for _ in range(nranks)]
         self._seq_hash = [0] * nranks
         self._done = [False] * nranks
-        # lockstep scheduling
-        self._lockstep = lockstep
-        self._active: int | None = 0 if lockstep else None
-        self._preds: list = [None] * nranks
-        if order_seed is None:
-            self._order = None
-        else:
-            import random
-
-            self._order = random.Random(order_seed)
+        # lockstep: the one rank allowed to run; None when ranks run free
+        self._turn: int | None = 0 if lockstep else None
+        self._order = None if order_seed is None else random.Random(order_seed)
 
     # --- public collectives -------------------------------------------------
 
@@ -111,16 +113,13 @@ class SimComm:
     # --- rank lifecycle (used by run_ranks) ----------------------------------
 
     def _start(self, rank: int) -> None:
-        if not self._lockstep:
-            return
         with self._cv:
             self._wait_for(rank, lambda: True)
 
     def _finish(self, rank: int) -> None:
         with self._cv:
             self._done[rank] = True
-            if self._lockstep and self._active == rank:
-                self._grant_next(rank)
+            self._pass_turn(rank)
             self._check_stuck_round()
             self._cv.notify_all()
 
@@ -130,26 +129,22 @@ class SimComm:
         with self._cv:
             self._raise_if_aborted()
             self._seq_hash[rank] = zlib.crc32(op.encode(), self._seq_hash[rank])
-            sig = (op, self._seq_hash[rank])
-            # previous round must be fully drained before a new one starts
-            self._wait_for(rank, lambda: self._exited == self.nranks)
             joined = self._generation
             self._deposits[rank] = payload
-            self._sigs[rank] = sig
+            self._sigs[rank] = (op, self._seq_hash[rank])
             self._arrived += 1
             if self._arrived == self.nranks:
                 self._publish(op)
             else:
+                self._pass_turn(rank)
                 self._check_stuck_round()
                 self._wait_for(rank, lambda: self._generation > joined)
-            results = self._results
-            error = self._round_error
-            self._exited += 1
-            if self._exited == self.nranks:
-                self._cv.notify_all()
-            if error is not None:
-                raise error
-            return list(results)
+            # No later round can publish before this rank joins it, so these
+            # are still the results and error of the round it joined.
+            results, error = self._results, self._round_error
+        if error is not None:
+            raise error
+        return list(results)
 
     def _publish(self, op: str) -> None:
         error: Exception | None = None
@@ -159,69 +154,42 @@ class SimComm:
             sizes = {len(d) for d in self._deposits}
             if len(sizes) != 1:
                 error = SizeMismatch(f"contribution sizes differ: {sorted(sizes)}")
-        self._results = list(self._deposits)
+        self._results = self._deposits
         self._round_error = error
         self._deposits = [None] * self.nranks
         self._sigs = [None] * self.nranks
         self._arrived = 0
-        self._exited = 0
         self._generation += 1
         self._cv.notify_all()
 
-    # --- waiting / lockstep token ---------------------------------------------
+    # --- waiting / lockstep turn ----------------------------------------------
 
     def _raise_if_aborted(self) -> None:
         if self._aborted is not None:
             raise self._aborted
 
     def _wait_for(self, rank: int, pred) -> None:
-        """Block until pred() holds; in lockstep, also until this rank holds the token.
+        """Block until pred() holds and, in lockstep, this rank holds the turn.
 
         A satisfied predicate wins over a pending abort so that ranks drain a
         round that already published (and pick up its own error) instead of
         masking it with CollectiveAborted.
         """
-        if not self._lockstep:
-            while not pred():
-                self._raise_if_aborted()
-                self._cv.wait()
-            return
-        if pred() and (self._active == rank or self._aborted is not None):
-            return
-        self._preds[rank] = pred
-        if self._active == rank:
-            self._grant_next(rank)
-        while True:
-            if pred() and (self._active in (rank, None) or self._aborted is not None):
-                break
-            if self._aborted is not None:
-                self._preds[rank] = None
-                raise self._aborted
+        while not (pred() and (self._turn in (None, rank) or self._aborted is not None)):
+            self._raise_if_aborted()
             self._cv.wait()
-        if self._aborted is None:
-            self._active = rank
-        self._preds[rank] = None
 
-    def _grant_next(self, current: int) -> None:
-        candidates = [
-            r
-            for r in range(self.nranks)
-            if r != current
-            and not self._done[r]
-            and self._preds[r] is not None
-            and self._preds[r]()
-        ]
-        if not candidates:
-            self._active = None
-            self._check_stuck_round()
+    def _pass_turn(self, rank: int) -> None:
+        """Hand the lockstep turn from ``rank`` to a rank that can run: a live
+        rank that has not joined the open round has either not started or
+        waits on a round that already published."""
+        if self._turn != rank:
             return
-        if self._order is not None:
-            self._active = candidates[self._order.randrange(len(candidates))]
-        else:
-            self._active = min(
-                candidates, key=lambda r: (r - current - 1) % self.nranks
-            )
-        self._cv.notify_all()
+        after = [(rank + i) % self.nranks for i in range(1, self.nranks)]
+        ready = [r for r in after if not self._done[r] and self._sigs[r] is None]
+        if ready:
+            self._turn = ready[self._order.randrange(len(ready)) if self._order else 0]
+            self._cv.notify_all()
 
     def _check_stuck_round(self) -> None:
         # a round can never complete once every non-done rank has deposited

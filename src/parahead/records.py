@@ -252,8 +252,6 @@ class RecordLists(NamedTuple):
         """The bytes, with the variables' data placed from ``begin`` in id order."""
         parts = self.parts
         for i, type_tag, vsize in self.tails:
-            if vsize > _CMAX:
-                raise UnrepresentableValue(f"variable size {vsize} exceeds version width")
             if begin > _OMAX:
                 raise UnrepresentableValue(f"variable begin {begin} exceeds version width")
             parts[i] = _TAIL.pack(type_tag, vsize, begin)
@@ -343,6 +341,8 @@ def record_lists(records, head: bytes, cut: int = 0) -> RecordLists:
             refs.append(ref)
             size *= lengths[ref]
         size += -size & 3
+        if size > _CMAX:
+            raise UnrepresentableValue(f"variable size {size} exceeds version width")
         parts += (name_rec, _CNT.pack(len(refs)), struct.pack(f">{len(refs)}Q", *refs), atts)
         tails.append((len(parts), type_tag, size))
         parts.append(b"")  # the tail, once the data section's start is known

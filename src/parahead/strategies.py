@@ -49,6 +49,7 @@ from .errors import (
     NoSuchObject,
     ParaheadError,
     Truncated,
+    UnrepresentableValue,
 )
 from .newformat import (
     BlockStats,
@@ -372,7 +373,6 @@ _FACTS = struct.Struct(">QQQQQ")
 def run_new_format(
     workload: Workload,
     hash_size: int = DEFAULT_HASH_SIZE,
-    align: int = DEFAULT_ALIGN,
     *,
     lockstep=None,
     order_seed=None,
@@ -405,6 +405,8 @@ def run_new_format(
                 except DanglingDimRef as exc:
                     unresolved[p] = exc
                 facts = lists[p].facts if p in lists else (0, 0, 0, 0, 0)
+                if facts[4] >= 1 << 64:
+                    raise UnrepresentableValue(f"block {p!r} data size {facts[4]} exceeds 64 bits")
                 own_facts.append(_FACTS.pack(*facts) + p.encode("ascii"))
             gathered_facts = ctx.gather(pack_stream(own_facts))
 
@@ -454,14 +456,12 @@ def run_new_format(
                     facts[path] = lists[path].facts
                 elif path in unresolved:
                     raise unresolved[path]
-            table = layout_from_stats(
-                [BlockStats(path, *f[:4]) for path, f in facts.items()], align
-            )
+            table = layout_from_stats([BlockStats(path, *f[:4]) for path, f in facts.items()])
             index_raw = encode_index_table(table)
             ctx.acquire(len(index_raw))  # replicated index copy
 
             # data-section offsets: path-sorted blocks, creation order within
-            data_cursor = align_up(table.header_reserve, align)
+            data_cursor = align_up(table.header_reserve, DEFAULT_ALIGN)
             for entry in table.entries:
                 path = entry.block_path
                 start = data_cursor

@@ -4,12 +4,15 @@ from __future__ import annotations
 
 import random
 import struct
+import threading
 import time
 
 import pytest
 
 from parahead.comm import run_ranks
 from parahead.errors import CollectiveAborted, CollectiveMisuse, SizeMismatch
+
+SCHEDULERS = (False, True)  # lockstep off, on: each error path runs under both
 
 
 def test_allgather_two_ranks():
@@ -28,18 +31,19 @@ def test_allgather_single_rank_identity():
 
 
 def test_allgather_size_mismatch_raised_on_all_ranks():
-    seen = []
+    for lockstep in SCHEDULERS:
+        seen = []
 
-    def body(rank, comm):
-        try:
-            comm.allgather(rank, b"x" * (rank + 1))
-        except SizeMismatch:
-            seen.append(rank)
-            raise
+        def body(rank, comm):
+            try:
+                comm.allgather(rank, b"x" * (rank + 1))
+            except SizeMismatch:
+                seen.append(rank)
+                raise
 
-    with pytest.raises(SizeMismatch):
-        run_ranks(3, body)
-    assert sorted(seen) == [0, 1, 2]
+        with pytest.raises(SizeMismatch):
+            run_ranks(3, body, lockstep=lockstep)
+        assert sorted(seen) == [0, 1, 2]
 
 
 def test_allgatherv_mixed_sizes_preserves_empty():
@@ -89,8 +93,9 @@ def test_misuse_mismatched_ops():
         else:
             comm.barrier(rank)
 
-    with pytest.raises(CollectiveMisuse):
-        run_ranks(2, body)
+    for lockstep in SCHEDULERS:
+        with pytest.raises(CollectiveMisuse):
+            run_ranks(2, body, lockstep=lockstep)
 
 
 def test_misuse_diverged_history():
@@ -103,8 +108,9 @@ def test_misuse_diverged_history():
             comm.allgather(rank, b"")
             comm.barrier(rank)
 
-    with pytest.raises(CollectiveMisuse):
-        run_ranks(2, body)
+    for lockstep in SCHEDULERS:
+        with pytest.raises(CollectiveMisuse):
+            run_ranks(2, body, lockstep=lockstep)
 
 
 def test_rank_leaving_early_detected():
@@ -113,8 +119,9 @@ def test_rank_leaving_early_detected():
             return None  # never joins the collective
         comm.barrier(rank)
 
-    with pytest.raises((CollectiveMisuse, CollectiveAborted)):
-        run_ranks(2, body)
+    for lockstep in SCHEDULERS:
+        with pytest.raises((CollectiveMisuse, CollectiveAborted)):
+            run_ranks(2, body, lockstep=lockstep)
 
 
 def test_peer_failure_aborts_waiters():
@@ -123,8 +130,9 @@ def test_peer_failure_aborts_waiters():
             raise RuntimeError("boom")
         comm.barrier(rank)
 
-    with pytest.raises(RuntimeError, match="boom"):
-        run_ranks(3, body)
+    for lockstep in SCHEDULERS:
+        with pytest.raises(RuntimeError, match="boom"):
+            run_ranks(3, body, lockstep=lockstep)
 
 
 def _mixed_program(rank, comm):
@@ -143,6 +151,46 @@ def test_lockstep_matches_threads():
     threads = run_ranks(4, _mixed_program, lockstep=False)
     lockstep = run_ranks(4, _mixed_program, lockstep=True)
     assert threads == lockstep
+
+
+def _traced_program(log, running, lock):
+    """Rank code that logs (segment, rank) and sleeps 1 ms between collectives,
+    so that two ranks running at once would overlap."""
+
+    def segment(rank, index):
+        with lock:
+            running[0] += 1
+            running[1] = max(running[1], running[0])
+            log.append((index, rank))
+        time.sleep(0.001)
+        with lock:
+            running[0] -= 1
+
+    def body(rank, comm):
+        for index, op in enumerate(("barrier", "allgather", "barrier", "allgather", "barrier")):
+            segment(rank, index)
+            if op == "barrier":
+                comm.barrier(rank)
+            else:
+                comm.allgather(rank, bytes([rank]))
+        segment(rank, 5)  # after the last round, before the rank exits
+
+    return body
+
+
+@pytest.mark.parametrize("nranks", [1, 3, 5])
+def test_lockstep_runs_one_rank_at_a_time_round_robin(nranks):
+    for order_seed in (None, 0, 7):
+        log, running, lock = [], [0, 0], threading.Lock()
+        run_ranks(nranks, _traced_program(log, running, lock), lockstep=True,
+                  order_seed=order_seed)
+        assert running[1] == 1
+        rounds = [[rank for index, rank in log if index == i] for i in range(6)]
+        for i, order in enumerate(rounds):
+            assert sorted(order) == list(range(nranks))
+            if order_seed is None:
+                first = rounds[i - 1][-1] if i else 0  # the previous round's publisher
+                assert order == [(first + k) % nranks for k in range(nranks)]
 
 
 def test_schedule_independence():

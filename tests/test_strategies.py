@@ -14,6 +14,7 @@ from parahead.errors import (
     DanglingDimRef,
     NoSuchObject,
     ParaheadError,
+    UnrepresentableValue,
 )
 from parahead.newformat import (
     MetadataBlock,
@@ -295,6 +296,20 @@ def test_shared_block_part_over_another_ranks_dimension():
     new = logical_map_from_image(run_new_format(workload, 64).image.to_bytes())
     lib = logical_map_from_image(run_lib_baseline(workload, 64).image.to_bytes())
     assert new == lib == workload_logical_map(workload)
+
+
+@pytest.mark.parametrize("defs", [
+    # a vsize past the width
+    [(DIM, "b/x", DimPayload(2**62)), (VAR, "b/v", VarPayload(TypeTag.DOUBLE, ("b/x", "b/x")))],
+    # each vsize fits the width, their sum does not fit 64 bits
+    [(DIM, "b/x", DimPayload(2**60 - 1))]
+    + [(VAR, f"b/v{i}", VarPayload(TypeTag.DOUBLE, ("b/x",))) for i in range(3)],
+], ids=["vsize", "block-data"])
+def test_block_past_the_width_is_unrepresentable_in_every_strategy(defs):
+    workload = hand_workload(defs)
+    for run in (run_new_format, run_lib_baseline):
+        with pytest.raises(UnrepresentableValue):
+            run(workload, 64)
 
 
 def test_variable_over_another_blocks_dimension(tmp_path, capsys):
