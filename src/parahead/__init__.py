@@ -36,7 +36,6 @@ from .newformat import (
     decode_index_table,
     encode_block,
     encode_index_table,
-    layout_blocks,
 )
 from .records import AttPayload, DimPayload, ObjectKind, VarPayload
 from .store import IdMap, RankStore

@@ -14,8 +14,9 @@ import csv
 import math
 import os
 import sys
+from dataclasses import replace
 
-from .classic import Header, decode_classic, encode_classic
+from .classic import DEFAULT_ALIGN, Header, align_up, decode_classic, encode_classic, encoded_size
 from .errors import NameWidthOverflow, ParaheadError
 from .newformat import assemble_image, decode_image, flatten_blocks, partition_header
 from .strategies import (
@@ -261,20 +262,32 @@ def _check_name_widths(header: Header) -> None:
             raise NameWidthOverflow(f"{obj.name!r} exceeds {MAX_CLASSIC_NAME} characters")
 
 
+def _data_after(header: Header, header_end: int) -> Header:
+    """``header`` with every ``begin`` kept, unless the first lies before
+    ``header_end``: then all move by one offset, so the data starts at
+    ``header_end`` rounded up to ``DEFAULT_ALIGN``."""
+    first = min((v.begin for v in header.vars), default=header_end)
+    if first >= header_end:
+        return header
+    shift = align_up(header_end, DEFAULT_ALIGN) - first
+    return replace(header, vars=tuple(replace(v, begin=v.begin + shift) for v in header.vars))
+
+
 def cmd_convert(args) -> int:
     with open(args.path, "rb") as fh:
         raw = fh.read()
     if args.format == "new":
         header = decode_classic(raw)
-        # variable data stays where it was; only the metadata is reorganized
-        image = assemble_image(partition_header(header))
-        with open(args.out, "wb") as fh:
-            fh.write(image)
+        # block sizes do not depend on the begins, so a first image tells
+        # where the header ends
+        end = len(assemble_image(partition_header(header)))
+        image = assemble_image(partition_header(_data_after(header, end)))
     else:
         header = flatten_blocks(decode_image(raw)[1].values())
         _check_name_widths(header)
-        with open(args.out, "wb") as fh:
-            fh.write(encode_classic(header, 5))
+        image = encode_classic(_data_after(header, encoded_size(header, 5)), 5)
+    with open(args.out, "wb") as fh:
+        fh.write(image)
     print(f"converted {args.path} -> {args.out} ({args.format})")
     return 0
 
@@ -367,8 +380,6 @@ def main(argv=None) -> int:
     error = _flag_error(args) if hasattr(args, "inject_conflicts") else None
     if error:
         parser.error(error)
-    if isinstance(getattr(args, "strategies", None), str):
-        args.strategies = _parse_strategies(args.strategies)
     try:
         status = args.fn(args)
         sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit

@@ -99,9 +99,5 @@ class ConsistencyError(ParaheadError):
         super().__init__(f"inconsistent metadata for: {names}")
 
 
-class IndivisiblePartition(ParaheadError):
-    """Object totals cannot be evenly partitioned across the requested ranks."""
-
-
 class TooManyConflicts(ParaheadError):
     """The workload has fewer unique objects than the conflicts to inject."""

@@ -239,55 +239,30 @@ def decode_block(buf: bytes) -> MetadataBlock:
     return MetadataBlock(path, content)
 
 
-@dataclass(frozen=True)
-class BlockStats:
-    """Size and object counts of a block, as exchanged before layout."""
-
-    block_path: str
-    size: int
-    n_dims: int
-    n_vars: int
-    n_atts: int
-
-
-def layout_from_stats(stats, align: int = DEFAULT_ALIGN) -> IndexTable:
-    """Assign file offsets from (path, size, counts) alone; pure in the sorted set."""
-    ordered = sorted(stats, key=lambda s: s.block_path)
-    paths = [s.block_path for s in ordered]
+def layout_from_stats(stats) -> IndexTable:
+    """Assign file offsets from ``(path, size, n_dims, n_vars, n_atts)``
+    tuples alone, each block at ``DEFAULT_ALIGN``; pure in the sorted set."""
+    ordered = sorted(stats)
+    paths = [s[0] for s in ordered]
     if len(set(paths)) != len(paths):
         raise DuplicateName("duplicate block path")
-    cursor = align_up(index_table_encoded_size(paths), align)
+    cursor = align_up(index_table_encoded_size(paths), DEFAULT_ALIGN)
     entries = []
-    for s in ordered:
-        entries.append(
-            IndexEntry(s.block_path, cursor, s.size, s.n_dims, s.n_vars, s.n_atts)
-        )
-        cursor = align_up(cursor + s.size, align)
+    for path, size, n_dims, n_vars, n_atts in ordered:
+        entries.append(IndexEntry(path, cursor, size, n_dims, n_vars, n_atts))
+        cursor = align_up(cursor + size, DEFAULT_ALIGN)
     return IndexTable(tuple(entries), cursor)
 
 
-def _encoded_layout(blocks, align: int) -> tuple[IndexTable, dict[str, bytes]]:
-    """The index table of a block set, laid out from each block's encoded
-    bytes and counts, and those bytes by path."""
+def assemble_image(blocks) -> bytes:
+    """Serialize a complete file image (index plus blocks) single-threaded."""
     raws = {}
     stats = []
     for b in blocks:
         raw = raws[b.block_path] = encode_block(b)
         c = b.content
-        stats.append(BlockStats(
-            b.block_path, len(raw), len(c.dims), len(c.vars), len(c.global_atts)
-        ))
-    return layout_from_stats(stats, align), raws
-
-
-def layout_blocks(blocks, align: int = DEFAULT_ALIGN) -> IndexTable:
-    """Compute the index table for a block set: offsets, sizes, and counts."""
-    return _encoded_layout(blocks, align)[0]
-
-
-def assemble_image(blocks, align: int = DEFAULT_ALIGN) -> bytes:
-    """Serialize a complete file image (index plus blocks) single-threaded."""
-    table, raws = _encoded_layout(blocks, align)
+        stats.append((b.block_path, len(raw), len(c.dims), len(c.vars), len(c.global_atts)))
+    table = layout_from_stats(stats)
     image = bytearray(table.header_reserve)
     index_bytes = encode_index_table(table)
     image[: len(index_bytes)] = index_bytes

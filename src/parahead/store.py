@@ -45,13 +45,15 @@ class IdMap:
     )
 
 
-def gids_from_order(global_order: dict[ObjectKind, list[str]]) -> dict:
-    """Turn per-kind ordered name lists into a (kind, name) -> GID mapping."""
-    gids: dict[tuple[ObjectKind, str], int] = {}
-    for kind, names in global_order.items():
-        for gid, name in enumerate(names):
-            gids[(kind, name)] = gid
-    return gids
+def add_gids(out: dict, keys, base=None) -> dict:
+    """Add (kind, full name) -> GID for each of ``keys``, in file order, to
+    ``out``: its kind's ``base`` (0 without one) plus the keys of that kind
+    before it."""
+    nxt = dict.fromkeys(ObjectKind, 0) if base is None else dict(base)
+    for key in keys:
+        out[key] = nxt[key[0]]
+        nxt[key[0]] += 1
+    return out
 
 
 class RankStore:

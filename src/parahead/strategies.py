@@ -24,12 +24,10 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .classic import (
-    DEFAULT_ALIGN,
     AttributeDef,
     DimensionDef,
     Header,
     VariableDef,
-    align_up,
     compute_offsets,  # noqa: F401  perfbench's tracer rebinds these by name
     decode_classic,
     encode_classic,  # noqa: F401
@@ -52,7 +50,6 @@ from .errors import (
     UnrepresentableValue,
 )
 from .newformat import (
-    BlockStats,
     BytesSource,
     IndexTable,
     block_lists,
@@ -79,7 +76,7 @@ from .records import (
     pack_stream,
     unpack_stream,
 )
-from .store import PendingObject, RankStore, gids_from_order
+from .store import PendingObject, RankStore, add_gids
 from .workload import Workload
 
 DEFAULT_HASH_SIZE = 16_384
@@ -235,20 +232,22 @@ def _run(strategy: StrategyKind, workload: Workload, body, lockstep, order_seed)
 # --- shared classic-format machinery -----------------------------------------
 
 
-def merge_records(name_records) -> tuple[list[NameRecord], dict[ObjectKind, list[str]]]:
-    """Deduplicate gathered records into the file order.
+def merge_records(name_records) -> list[NameRecord]:
+    """Deduplicate gathered records into the file order: the first record of
+    each name.
 
     Objects are ordered per kind by (rank of first definer, creation index);
-    a shared object keeps its lowest-rank definer's position.  Returns the
-    first record of each name and, per kind, the names in file order.
+    a shared object keeps its lowest-rank definer's position.
     """
     firsts: dict[bytes, NameRecord] = {}
     for rec in name_records:
         firsts.setdefault(rec.key, rec)
-    order: dict[ObjectKind, list[str]] = {k: [] for k in ObjectKind}
-    for key, rec in firsts.items():
-        order[KINDS[key[0]]].append(rec.full_name)
-    return list(firsts.values()), order
+    return list(firsts.values())
+
+
+def file_gids(merged) -> dict:
+    """(kind, full name) -> GID of every merged record: its per-kind index."""
+    return add_gids({}, ((KINDS[r.key[0]], r.full_name) for r in merged))
 
 
 def build_classic_header(defs, path: str = "") -> Header:
@@ -315,12 +314,12 @@ def run_app_baseline(
         with ctx.phase("consistency_check"):
             ctx.checked(hash_check(records, hash_size))
         with ctx.phase("define"):
-            merged, order = merge_records(records)
+            merged = merge_records(records)
             store = RankStore(ctx.rank)
             for rec in merged:
                 store.define_record(rec.payload_ref)
             ctx.acquire(store.serialized_bytes())
-            store.finalize_gids(gids_from_order(order))
+            store.finalize_gids(file_gids(merged))
         with ctx.phase("header_write"):
             # the store holds every merged object, in file order
             _write_classic_root(ctx, (o.record for o in store.objects))
@@ -357,8 +356,8 @@ def run_lib_baseline(
         with ctx.phase("consistency_check"):
             ctx.checked(hash_check(records, hash_size) if check == "hash" else sort_check(records))
         with ctx.phase("header_write"):
-            merged, order = merge_records(records)
-            store.finalize_gids(gids_from_order(order))
+            merged = merge_records(records)
+            store.finalize_gids(file_gids(merged))
             _write_classic_root(ctx, (rec.payload_ref for rec in merged))
 
     return _run(strategy, workload, body, lockstep, order_seed)
@@ -440,7 +439,7 @@ def run_new_format(
             ])
             ctx.checked(hash_check(shared_records, hash_size))
             merged_shared: dict[str, list[NameRecord]] = {p: [] for p in shared_paths}
-            for rec in merge_records(shared_records)[0]:
+            for rec in merge_records(shared_records):
                 path, _ = split_full_name(rec.full_name)
                 merged_shared[path].append(rec)
 
@@ -456,12 +455,13 @@ def run_new_format(
                     facts[path] = lists[path].facts
                 elif path in unresolved:
                     raise unresolved[path]
-            table = layout_from_stats([BlockStats(path, *f[:4]) for path, f in facts.items()])
+            table = layout_from_stats([(path, *f[:4]) for path, f in facts.items()])
             index_raw = encode_index_table(table)
             ctx.acquire(len(index_raw))  # replicated index copy
 
-            # data-section offsets: path-sorted blocks, creation order within
-            data_cursor = align_up(table.header_reserve, DEFAULT_ALIGN)
+            # data-section offsets: path-sorted blocks, creation order within;
+            # the layout aligned the reserve
+            data_cursor = table.header_reserve
             for entry in table.entries:
                 path = entry.block_path
                 start = data_cursor
@@ -476,9 +476,9 @@ def run_new_format(
             gids: dict = {}
             for path, objs in own_blocks.items():
                 if path not in shared_paths:
-                    _add_gids(gids, ((o.kind, o.full_name) for o in objs), bases[path])
+                    add_gids(gids, ((o.kind, o.full_name) for o in objs), bases[path])
             for path, recs in merged_shared.items():
-                _add_gids(gids, ((KINDS[r.key[0]], r.full_name) for r in recs), bases[path])
+                add_gids(gids, ((KINDS[r.key[0]], r.full_name) for r in recs), bases[path])
             store.finalize_gids(gids)
 
     return _run(StrategyKind.NEW_FORMAT, workload, body, lockstep, order_seed)
@@ -578,7 +578,7 @@ class HeaderHandle:
             objects = self._load_block(path)
             if self._gid_base is None:
                 self._gid_base = gid_bases(self._table.entries)
-            gids = _add_gids({}, objects, self._gid_base[path])
+            gids = add_gids({}, objects, self._gid_base[path])
             self._gids[path] = gids
         try:
             return gids[(kind, full_name)]
@@ -619,17 +619,6 @@ def _add_payloads(out: dict, header: Header, path: str = "") -> dict:
         out[(ObjectKind.VARIABLE, prefix + var.name)] = VarPayload(
             var.type_tag, refs, var.attributes
         )
-    return out
-
-
-def _add_gids(out: dict, keys, base: dict) -> dict:
-    """Add (kind, full name) -> GID for each of one block's ``keys``, in
-    block order, to ``out``: its kind's ``base`` plus the keys of that kind
-    before it."""
-    nxt = dict(base)
-    for key in keys:
-        out[key] = nxt[key[0]]
-        nxt[key[0]] += 1
     return out
 
 

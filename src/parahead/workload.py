@@ -13,13 +13,13 @@ import random
 from dataclasses import dataclass
 
 from .classic import AttributeDef, TypeTag
-from .errors import IndivisiblePartition, TooManyConflicts
+from .errors import TooManyConflicts
 from .records import DimPayload, ObjectKind, Payload, VarPayload
 
 # Serialized metadata per variable tracks the reference datasets' ratio of
 # metadata volume to object count; see the calibration test.
-DEFAULT_ATTR_BYTES = 8
-DEFAULT_DIMS_PER_VAR = 2
+ATTR_BYTES_PER_VAR = 8
+DIMS_PER_VAR = 2
 
 _VAR_TYPES = (TypeTag.FLOAT, TypeTag.INT, TypeTag.DOUBLE, TypeTag.SHORT)
 CONFLICT_MODES = ("type_mismatch", "dim_mismatch")
@@ -46,14 +46,10 @@ class WorkloadSpec:
     total_vars: int
     total_dims: int
     nranks: int
-    dims_per_var: int = DEFAULT_DIMS_PER_VAR
-    attr_bytes_per_var: int = DEFAULT_ATTR_BYTES
     shared_fraction: float = 0.0
     conflict_count: int = 0
     conflict_mode: str = "type_mismatch"
-    name_scheme: str = "blocked"  # "blocked": one path per rank; "flat": no paths
     seed: int = 0
-    strict_partition: bool = False
 
 
 @dataclass(frozen=True)
@@ -81,18 +77,10 @@ def spec_for_dataset(
     profile = DATASETS[dataset]
     total_vars = max(1, round(profile.total_vars * scale))
     total_dims = max(1, round(profile.total_dims * scale))
-    return WorkloadSpec(
-        total_vars=total_vars,
-        total_dims=total_dims,
-        nranks=nranks,
-        seed=seed,
-        **overrides,
-    )
+    return WorkloadSpec(total_vars, total_dims, nranks, seed=seed, **overrides)
 
 
-def _split_even(total: int, parts: int, strict: bool) -> list[int]:
-    if strict and total % parts:
-        raise IndivisiblePartition(f"{total} objects across {parts} ranks")
+def _split_even(total: int, parts: int) -> list[int]:
     base, rem = divmod(total, parts)
     return [base + (1 if r < rem else 0) for r in range(parts)]
 
@@ -111,23 +99,15 @@ def partition_counts(spec: WorkloadSpec) -> Partition:
     """Even partition with remainders spread over the lowest ranks."""
     n_shared_vars = int(spec.shared_fraction * spec.total_vars)
     n_shared_dims = int(spec.shared_fraction * spec.total_dims)
-    var_counts = _split_even(
-        spec.total_vars - n_shared_vars, spec.nranks, spec.strict_partition
-    )
-    dim_counts = _split_even(
-        spec.total_dims - n_shared_dims, spec.nranks, spec.strict_partition
-    )
+    var_counts = _split_even(spec.total_vars - n_shared_vars, spec.nranks)
+    dim_counts = _split_even(spec.total_dims - n_shared_dims, spec.nranks)
     return Partition(tuple(var_counts), tuple(dim_counts), n_shared_vars, n_shared_dims)
 
 
-def _names(scheme: str, rank, kind_char: str, count: int, start: int = 0) -> list[str]:
-    if scheme == "blocked":
-        prefix = "shared" if rank is None else f"b{rank:05d}"
-        return [f"{prefix}/{kind_char}{start + i:06d}" for i in range(count)]
-    if scheme == "flat":
-        prefix = "shared" if rank is None else f"{rank:05d}"
-        return [f"{kind_char}{prefix}_{start + i:06d}" for i in range(count)]
-    raise ValueError(f"unknown name scheme {scheme!r}")
+def _names(rank, kind_char: str, count: int) -> list[str]:
+    """One block path per rank, and ``shared`` for objects every rank defines."""
+    prefix = "shared" if rank is None else f"b{rank:05d}"
+    return [f"{prefix}/{kind_char}{i:06d}" for i in range(count)]
 
 
 def _make_dims(names, rng) -> list[Definition]:
@@ -137,23 +117,17 @@ def _make_dims(names, rng) -> list[Definition]:
     ]
 
 
-def _make_vars(names, dim_pool, spec: WorkloadSpec, rng) -> list[Definition]:
+def _make_vars(names, dim_pool, rng) -> list[Definition]:
     out = []
     for i, name in enumerate(names):
         if dim_pool:
             refs = tuple(
-                dim_pool[(i * spec.dims_per_var + t) % len(dim_pool)]
-                for t in range(spec.dims_per_var)
+                dim_pool[(i * DIMS_PER_VAR + t) % len(dim_pool)]
+                for t in range(DIMS_PER_VAR)
             )
         else:
             refs = ()
-        atts = ()
-        if spec.attr_bytes_per_var > 0:
-            atts = (
-                AttributeDef(
-                    "meta", TypeTag.CHAR, rng.randbytes(spec.attr_bytes_per_var)
-                ),
-            )
+        atts = (AttributeDef("meta", TypeTag.CHAR, rng.randbytes(ATTR_BYTES_PER_VAR)),)
         type_tag = _VAR_TYPES[rng.randrange(len(_VAR_TYPES))]
         out.append(
             Definition(ObjectKind.VARIABLE, name, VarPayload(type_tag, refs, atts))
@@ -176,32 +150,20 @@ def gen_workload(spec: WorkloadSpec) -> Workload:
     part = partition_counts(spec)
     var_counts, dim_counts = part.var_counts, part.dim_counts
 
-    shared_dims = _make_dims(
-        _names(spec.name_scheme, None, "d", part.n_shared_dims), rng
-    )
+    shared_dims = _make_dims(_names(None, "d", part.n_shared_dims), rng)
     shared_dim_names = [d.full_name for d in shared_dims]
-    shared_vars = _make_vars(
-        _names(spec.name_scheme, None, "v", part.n_shared_vars),
-        shared_dim_names,
-        spec,
-        rng,
-    )
+    shared_vars = _make_vars(_names(None, "v", part.n_shared_vars), shared_dim_names, rng)
 
     per_rank: list[list[Definition]] = []
     for rank in range(spec.nranks):
-        own_dims = _make_dims(
-            _names(spec.name_scheme, rank, "d", dim_counts[rank]), rng
-        )
+        own_dims = _make_dims(_names(rank, "d", dim_counts[rank]), rng)
         own_dim_names = [d.full_name for d in own_dims]
         own_vars = _make_vars(
-            _names(spec.name_scheme, rank, "v", var_counts[rank]),
-            own_dim_names or shared_dim_names,
-            spec,
-            rng,
+            _names(rank, "v", var_counts[rank]), own_dim_names or shared_dim_names, rng
         )
         per_rank.append(shared_dims + own_dims + shared_vars + own_vars)
 
-    injected = _inject_conflicts(spec, per_rank, var_counts, dim_counts)
+    injected = _inject_conflicts(spec, per_rank, part)
     return Workload(
         spec,
         tuple(tuple(defs) for defs in per_rank),
@@ -223,12 +185,12 @@ def _mutate(defn: Definition, mode: str) -> Definition:
     )
 
 
-def _inject_conflicts(spec, per_rank, var_counts, dim_counts):
+def _inject_conflicts(spec, per_rank, part: Partition):
     """Re-define seeded unique objects on a second rank with mutated metadata."""
     if not spec.conflict_count:
         return []
     rng = random.Random(f"{spec.seed}:inject")
-    counts = var_counts if spec.conflict_mode == "type_mismatch" else dim_counts
+    counts = part.var_counts if spec.conflict_mode == "type_mismatch" else part.dim_counts
     targets = [(r, i) for r in range(spec.nranks) for i in range(counts[r])]
     if len(targets) < spec.conflict_count:
         raise TooManyConflicts(
@@ -236,18 +198,15 @@ def _inject_conflicts(spec, per_rank, var_counts, dim_counts):
             f"to host them; the workload has {len(targets)}"
         )
     injected = []
-    n_shared_dims = sum(
-        1 for d in per_rank[0] if d.kind is ObjectKind.DIMENSION
-    ) - dim_counts[0]
     # resolve every target against the pristine lists before inserting copies
     picks = []
     for src_rank, idx in rng.sample(targets, spec.conflict_count):
         defs = per_rank[src_rank]
         if spec.conflict_mode == "type_mismatch":
             # own vars sit at the tail of the rank's definition list
-            target = defs[len(defs) - var_counts[src_rank] + idx]
+            target = defs[len(defs) - part.var_counts[src_rank] + idx]
         else:
-            target = defs[n_shared_dims + idx]
+            target = defs[part.n_shared_dims + idx]
         picks.append((src_rank, target))
     for src_rank, target in picks:
         other = (src_rank + 1 + rng.randrange(spec.nranks - 1)) % spec.nranks

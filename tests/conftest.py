@@ -1,9 +1,11 @@
-"""Shared generators for randomized round-trip and equivalence tests."""
+"""Shared generators for randomized round-trip and equivalence tests, and a
+time-limited rank runner."""
 
 from __future__ import annotations
 
 import random
 import struct
+import threading
 
 import pytest
 
@@ -16,6 +18,7 @@ from parahead.classic import (
     compute_offsets,
     encoded_size,
 )
+from parahead.comm import run_ranks
 from parahead.newformat import flatten_blocks
 from parahead.records import encode_record
 from parahead.strategies import logical_map_from_classic
@@ -116,3 +119,24 @@ def random_header(
 @pytest.fixture
 def rng():
     return random.Random(0xC0FFEE)
+
+
+def run_within(seconds, nranks, body, **kwargs):
+    """run_ranks in a daemon thread; a hang fails the test instead of blocking
+    it (rank threads a daemon thread starts are daemons too).  A rank's
+    exception is raised again here."""
+    outcome = []
+
+    def target():
+        try:
+            outcome.append(run_ranks(nranks, body, **kwargs))
+        except BaseException as exc:
+            outcome.append(exc)
+
+    driver = threading.Thread(target=target, daemon=True)
+    driver.start()
+    driver.join(seconds)
+    assert outcome, f"run_ranks hung with {kwargs}"
+    if isinstance(outcome[0], BaseException):
+        raise outcome[0]
+    return outcome[0]

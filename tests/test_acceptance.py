@@ -24,7 +24,7 @@ from parahead.newformat import (
     index_table_encoded_size,
 )
 from parahead.records import ObjectKind, encode_record
-from parahead.store import RankStore, gids_from_order
+from parahead.store import RankStore
 from parahead.strategies import (
     logical_map_from_image,
     open_new_format,
@@ -326,7 +326,7 @@ def test_criterion_10_id_mapping():
     from parahead.records import VarPayload
     from parahead.classic import TypeTag
     from parahead.consistency import make_name_records
-    from parahead.strategies import merge_records
+    from parahead.strategies import file_gids, merge_records
 
     def payload():
         return VarPayload(TypeTag.FLOAT, ())
@@ -345,7 +345,7 @@ def test_criterion_10_id_mapping():
         [o.record for o in rank0.objects],
         [o.record for o in rank1.objects],
     ]
-    order = gids_from_order(merge_records(make_name_records(gathered))[1])
+    order = file_gids(merge_records(make_name_records(gathered)))
     rank0.finalize_gids(order)
     rank1.finalize_gids(order)
 

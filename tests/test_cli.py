@@ -8,9 +8,17 @@ import sys
 
 import pytest
 
-from parahead.classic import decode_classic, encode_classic
+from parahead.classic import (
+    DimensionDef,
+    Header,
+    TypeTag,
+    VariableDef,
+    compute_offsets,
+    decode_classic,
+    encode_classic,
+)
 from parahead.cli import CSV_COLUMNS, main
-from parahead.newformat import decode_image
+from parahead.newformat import decode_image, flatten_blocks
 from parahead.strategies import logical_map_from_image
 
 GOLDEN_HEADER = (
@@ -164,6 +172,38 @@ def test_convert_new_to_classic_prefixes_paths(tmp_path):
     assert logical_map_from_image(new_path.read_bytes()) == logical_map_from_image(
         classic_path.read_bytes()
     )
+
+
+def test_convert_new_to_classic_moves_data_past_the_larger_header(tmp_path):
+    # a gen file's data starts at its partitioned header's end, which the
+    # flat classic header passes: every variable moves by one offset
+    new_path = tmp_path / "a.phx"
+    classic_path = tmp_path / "a.nc"
+    assert main(["gen", "--scale", "0.001", "--ranks", "2", "--format", "new",
+                 "--out", str(new_path)]) == 0
+    assert main(["convert", str(new_path), str(classic_path), "--format", "classic"]) == 0
+    before = flatten_blocks(decode_image(new_path.read_bytes())[1].values()).vars
+    raw = classic_path.read_bytes()
+    after = decode_classic(raw).vars
+    assert after[0].begin == (len(raw) + 3) // 4 * 4 > before[0].begin
+    shift = after[0].begin - before[0].begin
+    assert [v.begin for v in after] == [v.begin + shift for v in before]
+
+
+def test_convert_classic_to_new_moves_data_past_the_larger_header(tmp_path):
+    # five one-variable blocks: a 272-byte version 1 header whose data starts at 272
+    dims = tuple(DimensionDef(f"b{i}/x", 3) for i in range(5))
+    vars_ = tuple(VariableDef(f"b{i}/v", (i,), TypeTag.FLOAT) for i in range(5))
+    header = compute_offsets(Header(dims, (), vars_), 272, version=1)
+    src = tmp_path / "a.nc"
+    src.write_bytes(encode_classic(header, 1))
+    assert len(src.read_bytes()) == header.vars[0].begin == 272
+    out = tmp_path / "a.phx"
+    assert main(["convert", str(src), str(out), "--format", "new"]) == 0
+    table, blocks = decode_image(out.read_bytes())
+    after = flatten_blocks(blocks.values()).vars
+    assert table.header_reserve == 920
+    assert [v.begin for v in after] == [v.begin + 920 - 272 for v in header.vars]
 
 
 def test_convert_empty_header(tmp_path):

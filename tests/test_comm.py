@@ -9,17 +9,19 @@ import time
 
 import pytest
 
-from parahead.comm import run_ranks
 from parahead.errors import CollectiveAborted, CollectiveMisuse, SizeMismatch
 
+from conftest import run_within
+
 SCHEDULERS = (False, True)  # lockstep off, on: each error path runs under both
+LIMIT = 30  # seconds per program: a scheduler that deadlocks fails its test
 
 
 def test_allgather_two_ranks():
     def body(rank, comm):
         return comm.allgather(rank, bytes([rank + 1]))
 
-    results = run_ranks(2, body)
+    results = run_within(LIMIT, 2, body)
     assert results[0] == results[1] == [b"\x01", b"\x02"]
 
 
@@ -27,7 +29,7 @@ def test_allgather_single_rank_identity():
     def body(rank, comm):
         return comm.allgather(rank, b"solo")
 
-    assert run_ranks(1, body) == [[b"solo"]]
+    assert run_within(LIMIT, 1, body) == [[b"solo"]]
 
 
 def test_allgather_size_mismatch_raised_on_all_ranks():
@@ -42,7 +44,7 @@ def test_allgather_size_mismatch_raised_on_all_ranks():
                 raise
 
         with pytest.raises(SizeMismatch):
-            run_ranks(3, body, lockstep=lockstep)
+            run_within(LIMIT, 3, body, lockstep=lockstep)
         assert sorted(seen) == [0, 1, 2]
 
 
@@ -51,7 +53,7 @@ def test_allgatherv_mixed_sizes_preserves_empty():
         payload = bytes(range(rank * 4)) if rank else b""
         return comm.allgatherv(rank, payload)
 
-    results = run_ranks(3, body)
+    results = run_within(LIMIT, 3, body)
     expected = [b"", bytes(range(4)), bytes(range(8))]
     assert results == [expected] * 3
 
@@ -63,7 +65,7 @@ def test_allgatherv_byte_conservation():
         comm.allgatherv(rank, payloads[rank])
         return comm.stats(rank)
 
-    stats = run_ranks(4, body)
+    stats = run_within(LIMIT, 4, body)
     total = sum(len(p) for p in payloads)
     for rank, s in enumerate(stats):
         # the internal size round moves one 8-byte record per rank as well
@@ -82,7 +84,7 @@ def test_barrier_releases_all_ranks():
         order.append(rank)
         return rank
 
-    assert sorted(run_ranks(4, body)) == [0, 1, 2, 3]
+    assert sorted(run_within(LIMIT, 4, body)) == [0, 1, 2, 3]
     assert len(order) == 4
 
 
@@ -95,7 +97,7 @@ def test_misuse_mismatched_ops():
 
     for lockstep in SCHEDULERS:
         with pytest.raises(CollectiveMisuse):
-            run_ranks(2, body, lockstep=lockstep)
+            run_within(LIMIT, 2, body, lockstep=lockstep)
 
 
 def test_misuse_diverged_history():
@@ -110,7 +112,7 @@ def test_misuse_diverged_history():
 
     for lockstep in SCHEDULERS:
         with pytest.raises(CollectiveMisuse):
-            run_ranks(2, body, lockstep=lockstep)
+            run_within(LIMIT, 2, body, lockstep=lockstep)
 
 
 def test_rank_leaving_early_detected():
@@ -121,7 +123,7 @@ def test_rank_leaving_early_detected():
 
     for lockstep in SCHEDULERS:
         with pytest.raises((CollectiveMisuse, CollectiveAborted)):
-            run_ranks(2, body, lockstep=lockstep)
+            run_within(LIMIT, 2, body, lockstep=lockstep)
 
 
 def test_peer_failure_aborts_waiters():
@@ -132,7 +134,7 @@ def test_peer_failure_aborts_waiters():
 
     for lockstep in SCHEDULERS:
         with pytest.raises(RuntimeError, match="boom"):
-            run_ranks(3, body, lockstep=lockstep)
+            run_within(LIMIT, 3, body, lockstep=lockstep)
 
 
 def _mixed_program(rank, comm):
@@ -148,8 +150,8 @@ def _mixed_program(rank, comm):
 
 
 def test_lockstep_matches_threads():
-    threads = run_ranks(4, _mixed_program, lockstep=False)
-    lockstep = run_ranks(4, _mixed_program, lockstep=True)
+    threads = run_within(LIMIT, 4, _mixed_program, lockstep=False)
+    lockstep = run_within(LIMIT, 4, _mixed_program, lockstep=True)
     assert threads == lockstep
 
 
@@ -182,7 +184,7 @@ def _traced_program(log, running, lock):
 def test_lockstep_runs_one_rank_at_a_time_round_robin(nranks):
     for order_seed in (None, 0, 7):
         log, running, lock = [], [0, 0], threading.Lock()
-        run_ranks(nranks, _traced_program(log, running, lock), lockstep=True,
+        run_within(LIMIT, nranks, _traced_program(log, running, lock), lockstep=True,
                   order_seed=order_seed)
         assert running[1] == 1
         rounds = [[rank for index, rank in log if index == i] for i in range(6)]
@@ -195,16 +197,16 @@ def test_lockstep_runs_one_rank_at_a_time_round_robin(nranks):
 
 def test_schedule_independence():
     # randomized lockstep schedules must never change results or counters
-    reference = run_ranks(4, _mixed_program, lockstep=True)
+    reference = run_within(LIMIT, 4, _mixed_program, lockstep=True)
     for seed in range(20):
-        assert run_ranks(4, _mixed_program, lockstep=True, order_seed=seed) == reference
+        assert run_within(LIMIT, 4, _mixed_program, lockstep=True, order_seed=seed) == reference
 
 
 def test_results_identical_across_ranks():
     def body(rank, comm):
         return comm.allgatherv(rank, bytes([rank]) * rank)
 
-    results = run_ranks(5, body)
+    results = run_within(LIMIT, 5, body)
     for r in results[1:]:
         assert r == results[0]
 
@@ -215,6 +217,6 @@ def test_sixteen_ranks():
         comm.barrier(rank)
         return gathered
 
-    results = run_ranks(16, body)
+    results = run_within(LIMIT, 16, body)
     expected = [struct.pack(">H", r) for r in range(16)]
     assert all(r == expected for r in results)

@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
-import threading
-
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from parahead.comm import run_ranks
 from parahead.errors import CollectiveMisuse, SizeMismatch
+
+from conftest import run_within
 
 
 @st.composite
@@ -48,24 +49,6 @@ def _body(steps, deviant=None):
     return body
 
 
-def _run_within(seconds, nranks, body, **kwargs):
-    """run_ranks in a daemon thread; a hang fails the test instead of blocking
-    it (rank threads a daemon thread starts are daemons too)."""
-    outcome = []
-
-    def target():
-        try:
-            outcome.append(run_ranks(nranks, body, **kwargs))
-        except BaseException as exc:
-            outcome.append(exc)
-
-    driver = threading.Thread(target=target, daemon=True)
-    driver.start()
-    driver.join(seconds)
-    assert outcome, f"run_ranks hung with {kwargs}"
-    return outcome[0]
-
-
 @settings(max_examples=150, deadline=None)
 @given(programs(), st.integers(0, 2**32 - 1))
 def test_schedulers_agree_on_random_programs(program, order_seed):
@@ -93,6 +76,7 @@ def test_every_scheduler_raises_on_misuse(program, data):
     order_seed = data.draw(st.integers(0, 2**32 - 1), "order_seed")
     for kwargs in ({"lockstep": False}, {"lockstep": True},
                    {"lockstep": True, "order_seed": order_seed}):
-        outcome = _run_within(10, nranks, body, **kwargs)
-        assert type(outcome) is expected, (kwargs, outcome)
+        with pytest.raises(expected) as raised:
+            run_within(10, nranks, body, **kwargs)
+        assert type(raised.value) is expected, (kwargs, raised.value)
 

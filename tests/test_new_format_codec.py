@@ -18,7 +18,6 @@ from parahead.errors import (
 )
 from parahead.newformat import (
     INDEX_MAGIC,
-    BlockStats,
     IndexEntry,
     IndexTable,
     MetadataBlock,
@@ -30,7 +29,6 @@ from parahead.newformat import (
     encode_block,
     encode_index_table,
     index_table_encoded_size,
-    layout_blocks,
     layout_from_stats,
     split_full_name,
 )
@@ -248,37 +246,37 @@ def test_split_and_join_full_names():
 
 
 def test_layout_single_block_arithmetic():
-    stats = [BlockStats("blk", 100, 1, 0, 0)]
+    stats = [("blk", 100, 1, 0, 0)]
     idx_size = index_table_encoded_size(["blk"])
-    table = layout_from_stats(stats, align=4)
+    table = layout_from_stats(stats)
     entry = table.entries[0]
     assert entry.offset == (idx_size + 3) // 4 * 4
     assert table.header_reserve == entry.offset + 100
 
 
 def test_layout_zero_blocks():
-    table = layout_from_stats([], align=8)
+    table = layout_from_stats([])
     assert table.entries == ()
-    assert table.header_reserve == (index_table_encoded_size([]) + 7) // 8 * 8
+    assert table.header_reserve == (index_table_encoded_size([]) + 3) // 4 * 4
 
 
 def test_layout_two_blocks_recurrence():
-    stats = [BlockStats("a", 100, 0, 0, 0), BlockStats("b", 60, 0, 0, 0)]
-    table = layout_from_stats(stats, align=8)
+    stats = [("a", 100, 0, 0, 0), ("b", 60, 0, 0, 0)]
+    table = layout_from_stats(stats)
     first, second = table.entries
-    assert second.offset == (first.offset + first.size + 7) // 8 * 8
+    assert second.offset == (first.offset + first.size + 3) // 4 * 4
 
 
 def test_layout_independent_of_input_order(rng):
     blocks = random_blocks(rng, 8)
     shuffled = list(blocks)
     rng.shuffle(shuffled)
-    assert layout_blocks(blocks) == layout_blocks(shuffled)
+    assert assemble_image(blocks) == assemble_image(shuffled)
 
 
 def test_layout_counts_filled(rng):
     blocks = random_blocks(rng, 5)
-    table = layout_blocks(blocks)
+    table = decode_index_table(assemble_image(blocks))
     by_path = {b.block_path: b for b in blocks}
     for e in table.entries:
         content = by_path[e.block_path].content

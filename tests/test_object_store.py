@@ -11,7 +11,7 @@ from parahead.errors import (
     NoSuchObject,
 )
 from parahead.records import DimPayload, ObjectKind, VarPayload, encode_record
-from parahead.store import RankStore, gids_from_order
+from parahead.store import RankStore, add_gids
 from parahead.classic import TypeTag
 
 VAR = ObjectKind.VARIABLE
@@ -46,7 +46,7 @@ def test_conflicting_redefinition_rejected():
 def test_define_after_finalize_rejected():
     store = RankStore(0)
     store.define(VAR, "t", v())
-    store.finalize_gids(gids_from_order({VAR: ["t"]}))
+    store.finalize_gids(add_gids({}, [(VAR, "t")]))
     with pytest.raises(AlreadyFinalized):
         store.define(VAR, "u", v())
 
@@ -55,14 +55,14 @@ def test_finalize_missing_object():
     store = RankStore(1)
     store.define(VAR, "t", v())
     with pytest.raises(MissingObject):
-        store.finalize_gids(gids_from_order({VAR: ["other"]}))
+        store.finalize_gids(add_gids({}, [(VAR, "other")]))
 
 
 def test_single_rank_identity_mapping():
     store = RankStore(0)
     for i in range(5):
         store.define(VAR, f"v{i}", v())
-    order = gids_from_order({VAR: [f"v{i}" for i in range(5)]})
+    order = add_gids({}, [(VAR, f"v{i}") for i in range(5)])
     id_map = store.finalize_gids(order)
     assert id_map.lid_to_gid[VAR] == [0, 1, 2, 3, 4]
 
@@ -74,7 +74,7 @@ def test_inquiry_semantics():
     assert store.inquire(VAR, "mine") == 0
     with pytest.raises(NoSuchObject):
         store.inquire(VAR, "theirs")
-    store.finalize_gids(gids_from_order({VAR: ["mine", "theirs"]}))
+    store.finalize_gids(add_gids({}, [(VAR, "mine"), (VAR, "theirs")]))
     assert store.inquire(VAR, "mine") == 0  # LID stable across end-define
     first = store.inquire(VAR, "theirs")
     assert first == 1  # next free LID
@@ -92,7 +92,9 @@ def test_two_rank_scenario_lids_diverge_gids_agree():
     assert rank1.define(VAR, "wind", v()) == 1
 
     # global order: rank-major, creation order within rank
-    order = gids_from_order({VAR: ["temperature", "humidity", "pressure", "wind"]})
+    order = add_gids(
+        {}, [(VAR, n) for n in ("temperature", "humidity", "pressure", "wind")]
+    )
     rank0.finalize_gids(order)
     rank1.finalize_gids(order)
 

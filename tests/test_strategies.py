@@ -412,6 +412,21 @@ def test_gid_bases_are_made_by_the_first_gid_of(monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: gen_workload(spec_for_dataset("98M", 0.0025, 8, seed=1)),
+        lambda: shared_blocks_workload(own_blocks=256, shared_blocks=64),
+    ],
+    ids=["blocked-98M-p8", "shared-blocks-p4"],
+)
+def test_create_and_convert_share_one_layout(build):
+    # convert lays blocks out with assemble_image; the ranks of a create lay
+    # them out from their exchanged facts: both must give the same image
+    image = run_new_format(build(), 16_384).image.to_bytes()
+    assert assemble_image(decode_image(image)[1].values()) == image
+
+
 @pytest.mark.parametrize("build", [blocked_workload, shared_blocks_workload])
 def test_full_read_reads_each_block_once(build):
     workload = build()

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import pytest
 
-from parahead.errors import IndivisiblePartition
 from parahead.records import ObjectKind, encode_record
 from parahead.workload import (
     partition_counts,
@@ -50,13 +49,6 @@ def test_even_split_no_collisions():
             key = (d.kind, d.full_name)
             assert key not in names
             names.add(key)
-
-
-def test_strict_partition_raises():
-    with pytest.raises(IndivisiblePartition):
-        gen_workload(
-            WorkloadSpec(total_vars=10, total_dims=9, nranks=4, strict_partition=True)
-        )
 
 
 def test_shared_objects_replicated_identically():
@@ -145,15 +137,6 @@ def test_scale_preserves_ratio():
         spec = spec_for_dataset("98M", scale, 2)
         ratio = spec.total_dims / spec.total_vars
         assert ratio == pytest.approx(852_715 / 568_480, rel=0.01)
-
-
-def test_flat_scheme_names():
-    workload = gen_workload(
-        WorkloadSpec(total_vars=6, total_dims=6, nranks=2, name_scheme="flat")
-    )
-    for defs in workload.per_rank:
-        for d in defs:
-            assert "/" not in d.full_name
 
 
 def test_metadata_volume_tracks_dataset_profile():
