@@ -38,7 +38,7 @@ from .newformat import (
     encode_index_table,
 )
 from .records import AttPayload, DimPayload, ObjectKind, VarPayload
-from .store import IdMap, RankStore
+from .store import RankStore
 from .strategies import (
     FileImage,
     PhaseReport,

@@ -204,15 +204,18 @@ def decode_index_table(buf: bytes) -> IndexTable:
     return read_index_table(BytesSource(buf).read)
 
 
+def _check_local_names(content: Header) -> None:
+    """Raise CorruptHeader if a dimension, global attribute or variable name
+    of a block contains ``/``: it would read as another block's object."""
+    for obj in (*content.dims, *content.global_atts, *content.vars):
+        if "/" in obj.name:
+            raise CorruptHeader(f"block-local name {obj.name!r} contains '/'")
+
+
 def encode_block(block: MetadataBlock) -> bytes:
     """Encode one block: path record followed by the classic object lists."""
     try:
-        for dim in block.content.dims:
-            if "/" in dim.name:
-                raise CorruptHeader(f"block-local name {dim.name!r} contains '/'")
-        for var in block.content.vars:
-            if "/" in var.name:
-                raise CorruptHeader(f"block-local name {var.name!r} contains '/'")
+        _check_local_names(block.content)
         return _pack_path(block.block_path) + encode_header_lists(
             block.content, _BLOCK_VERSION
         )
@@ -236,6 +239,7 @@ def decode_block(buf: bytes) -> MetadataBlock:
         raise Truncated("block path cut short")
     path = _path_at(buf, 8, path_len, "block")
     content, _ = decode_header_lists(buf, _BLOCK_VERSION, lists)
+    _check_local_names(content)
     return MetadataBlock(path, content)
 
 

@@ -76,7 +76,7 @@ from .records import (
     pack_stream,
     unpack_stream,
 )
-from .store import PendingObject, RankStore, add_gids
+from .store import RankStore, add_gids
 from .workload import Workload
 
 DEFAULT_HASH_SIZE = 16_384
@@ -322,7 +322,7 @@ def run_app_baseline(
             store.finalize_gids(file_gids(merged))
         with ctx.phase("header_write"):
             # the store holds every merged object, in file order
-            _write_classic_root(ctx, (o.record for o in store.objects))
+            _write_classic_root(ctx, (o.payload_ref for o in store.objects))
 
     return _run(StrategyKind.APP_BASELINE, workload, body, lockstep, order_seed)
 
@@ -352,7 +352,7 @@ def run_lib_baseline(
                 store.define(d.kind, d.full_name, d.payload)
             ctx.acquire(store.serialized_bytes())
         with ctx.phase("exchange"):
-            records = ctx.gather_records([o.record for o in store.objects])
+            records = ctx.gather_records([o.payload_ref for o in store.objects])
         with ctx.phase("consistency_check"):
             ctx.checked(hash_check(records, hash_size) if check == "hash" else sort_check(records))
         with ctx.phase("header_write"):
@@ -385,7 +385,7 @@ def run_new_format(
             for d in defs:
                 store.define(d.kind, d.full_name, d.payload)
             ctx.acquire(store.serialized_bytes())
-            own_blocks: dict[str, list[PendingObject]] = {}
+            own_blocks: dict[str, list[NameRecord]] = {}
             for obj in store.objects:
                 path, _ = split_full_name(obj.full_name)
                 own_blocks.setdefault(path, []).append(obj)
@@ -400,7 +400,7 @@ def run_new_format(
             own_facts = []
             for p, objs in own_blocks.items():
                 try:
-                    lists[p] = block_lists(p, (o.record for o in objs))
+                    lists[p] = block_lists(p, (o.payload_ref for o in objs))
                 except DanglingDimRef as exc:
                     unresolved[p] = exc
                 facts = lists[p].facts if p in lists else (0, 0, 0, 0, 0)
@@ -411,11 +411,8 @@ def run_new_format(
 
         with ctx.phase("consistency_check"):
             # every rank validates its own namespace in its own table, from
-            # the names and digests its store already holds
-            ctx.checked(hash_check(
-                [NameRecord(o.full_name, ctx.rank, o.digest, o.record) for o in store.objects],
-                hash_size,
-            ))
+            # the records its store already holds
+            ctx.checked(hash_check(store.objects, hash_size))
 
             claims: dict[str, list[int]] = {}
             facts: dict[str, tuple[int, int, int, int, int]] = {}
@@ -432,7 +429,7 @@ def run_new_format(
             shared_paths = {g[0].full_name for g in block_report.shared_sets}
 
             shared_records = ctx.gather_records([
-                obj.record
+                obj.payload_ref
                 for path in sorted(own_blocks)
                 if path in shared_paths
                 for obj in own_blocks[path]
@@ -449,7 +446,7 @@ def run_new_format(
             for path in sorted(claims):
                 if path in shared_paths:
                     merged = [rec.payload_ref for rec in merged_shared[path]]
-                    own = [o.record for o in own_blocks.get(path, ())]
+                    own = [o.payload_ref for o in own_blocks.get(path, ())]
                     if path in unresolved or merged != own:
                         lists[path] = block_lists(path, merged)
                     facts[path] = lists[path].facts
@@ -471,13 +468,11 @@ def run_new_format(
             if ctx.rank == 0:
                 ctx.write(0, index_raw, "index_table")
 
-            # GID assignment: block-sorted order, creation order within block
+            # GID assignment: block-sorted order, creation order within block;
+            # a shared block's objects are its merged records
             bases = gid_bases(table.entries)
             gids: dict = {}
-            for path, objs in own_blocks.items():
-                if path not in shared_paths:
-                    add_gids(gids, ((o.kind, o.full_name) for o in objs), bases[path])
-            for path, recs in merged_shared.items():
+            for path, recs in {**own_blocks, **merged_shared}.items():
                 add_gids(gids, ((KINDS[r.key[0]], r.full_name) for r in recs), bases[path])
             store.finalize_gids(gids)
 

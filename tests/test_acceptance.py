@@ -342,8 +342,8 @@ def test_criterion_10_id_mapping():
 
     # end-define: the strategies' merge rule produces the shared global order
     gathered = [
-        [o.record for o in rank0.objects],
-        [o.record for o in rank1.objects],
+        [o.payload_ref for o in rank0.objects],
+        [o.payload_ref for o in rank1.objects],
     ]
     order = file_gids(merge_records(make_name_records(gathered)))
     rank0.finalize_gids(order)

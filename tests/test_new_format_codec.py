@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from parahead.classic import DimensionDef, Header, TypeTag, VariableDef
+from parahead.classic import AttributeDef, DimensionDef, Header, TypeTag, VariableDef
 from parahead.errors import (
     BadMagic,
     CorruptHeader,
@@ -231,9 +231,26 @@ def test_block_dangling_dim_ref():
 
 
 def test_block_local_names_must_not_contain_slash():
-    content = Header(dims=(DimensionDef("a/b", 3),))
-    with pytest.raises(CorruptHeader):
-        encode_block(MetadataBlock("b", content))
+    for content in (
+        Header(dims=(DimensionDef("a/b", 3),)),
+        Header(global_atts=(AttributeDef("x/y", TypeTag.CHAR, b"v"),)),
+        Header(vars=(VariableDef("a/b", (), TypeTag.INT, (), 0, 4),)),
+    ):
+        with pytest.raises(CorruptHeader):
+            encode_block(MetadataBlock("b", content))
+
+
+def test_decode_block_rejects_local_name_with_slash():
+    # a block "p" whose global attribute "x/y" would read as block "p/x"'s
+    for content in (
+        Header(dims=(DimensionDef("x_y", 3),)),
+        Header(global_atts=(AttributeDef("x_y", TypeTag.CHAR, b"v"),)),
+        Header(vars=(VariableDef("x_y", (), TypeTag.INT, (), 0, 4),)),
+    ):
+        raw = encode_block(MetadataBlock("p", content))
+        assert raw.count(b"x_y") == 1
+        with pytest.raises(CorruptHeader):
+            decode_block(raw.replace(b"x_y", b"x/y"))
 
 
 def test_split_and_join_full_names():

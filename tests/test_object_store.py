@@ -10,7 +10,7 @@ from parahead.errors import (
     MissingObject,
     NoSuchObject,
 )
-from parahead.records import DimPayload, ObjectKind, VarPayload, encode_record
+from parahead.records import KINDS, DimPayload, ObjectKind, VarPayload, encode_record
 from parahead.store import RankStore, add_gids
 from parahead.classic import TypeTag
 
@@ -63,8 +63,8 @@ def test_single_rank_identity_mapping():
     for i in range(5):
         store.define(VAR, f"v{i}", v())
     order = add_gids({}, [(VAR, f"v{i}") for i in range(5)])
-    id_map = store.finalize_gids(order)
-    assert id_map.lid_to_gid[VAR] == [0, 1, 2, 3, 4]
+    store.finalize_gids(order)
+    assert [store.gid_of(VAR, i) for i in range(5)] == [0, 1, 2, 3, 4]
 
 
 def test_inquiry_semantics():
@@ -114,7 +114,7 @@ def test_serialized_bytes_tracks_records():
     store = RankStore(0)
     store.define(DIM, "x", DimPayload(10))
     store.define(VAR, "a", v("x"))
-    assert store.serialized_bytes() == sum(len(o.record) for o in store.objects) > 0
+    assert store.serialized_bytes() == sum(len(o.payload_ref) for o in store.objects) > 0
 
 
 def test_define_record_matches_define():
@@ -122,14 +122,11 @@ def test_define_record_matches_define():
     by_payload.define(DIM, "x", DimPayload(10))
     by_payload.define(VAR, "a", v("x"))
     for obj in by_payload.objects:
-        record = bytes(bytearray(obj.record))  # a new object: the store keeps this one
-        assert by_record.define_record(record) == obj.lid
-        assert by_record.objects[-1].record is record
-    assert [
-        (o.kind, o.full_name, o.payload, o.lid, o.record, o.digest) for o in by_record.objects
-    ] == [
-        (o.kind, o.full_name, o.payload, o.lid, o.record, o.digest) for o in by_payload.objects
-    ]
+        record = bytes(bytearray(obj.payload_ref))  # a new object: the store keeps this one
+        lid = by_payload.inquire(KINDS[obj.key[0]], obj.full_name)
+        assert by_record.define_record(record) == lid
+        assert by_record.objects[-1].payload_ref is record
+    assert by_record.objects == by_payload.objects
 
 
 def test_define_record_redefinition_rules():
@@ -141,3 +138,23 @@ def test_define_record_redefinition_rules():
     store.finalize_gids({(VAR, "t"): 0})
     with pytest.raises(AlreadyFinalized):
         store.define_record(encode_record(DIM, "x", DimPayload(3)))
+
+
+def test_gid_of_rejects_lid_out_of_range():
+    store = RankStore(0)
+    for name in ("a", "b", "c"):
+        store.define(VAR, name, v())
+    store.finalize_gids(add_gids({}, [(VAR, n) for n in ("a", "b", "c")]))
+    assert store.gid_of(VAR, 2) == 2
+    for lid in (-1, -3, 3):
+        with pytest.raises(NoSuchObject):
+            store.gid_of(VAR, lid)
+    with pytest.raises(NoSuchObject):
+        store.gid_of(DIM, 0)
+
+
+def test_gid_of_before_end_define_raises_no_such_object():
+    store = RankStore(0)
+    store.define(VAR, "t", v())
+    with pytest.raises(NoSuchObject):
+        store.gid_of(VAR, 0)

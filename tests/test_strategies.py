@@ -872,25 +872,3 @@ def test_runs_are_deterministic_across_schedulers():
         for r in results
     ]
     assert counter_view[0] == counter_view[1] == counter_view[2]
-
-
-def test_perfbench_tracer_names_resolve():
-    # perfbench/tracer.py rebinds these functions on parahead.strategies and
-    # wraps these methods, all by name: a missing one breaks `--trace 1`
-    import importlib.util
-    from pathlib import Path
-
-    import parahead
-    from parahead import strategies
-
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
-    for names in tracer.REBOUND.values():
-        for name in names:
-            assert callable(getattr(strategies, name, None)), name
-    for module, cls, methods in tracer.METHODS.values():
-        klass = getattr(getattr(parahead, module), cls)
-        for method in methods:
-            assert callable(getattr(klass, method, None)), f"{cls}.{method}"
