@@ -9,7 +9,8 @@ from __future__ import annotations
 
 from parahead.classic import decode_classic, encode_classic
 from parahead.newformat import block_lists, decode_block, encode_block
-from parahead.records import classic_from_records
+from parahead.records import classic_from_records, decode_record, encode_record
+from parahead.strategies import logical_map_from_classic
 
 
 def test_encode_classic(benchmark, shared_header, shared_header_bytes):
@@ -41,3 +42,18 @@ def test_block_lists(benchmark, shared_block_records, shared_block_bytes):
 def test_decode_blocks(benchmark, shared_blocks, shared_block_bytes):
     """Every block of the file, as a full read loads them."""
     assert benchmark(lambda: [decode_block(raw) for raw in shared_block_bytes]) == shared_blocks
+
+
+def test_encode_record(benchmark, shared_header, shared_header_records):
+    """Every object of the file, encoded to its record."""
+    objects = list(logical_map_from_classic(shared_header).items())
+    records = benchmark(lambda: [encode_record(k, n, p) for (k, n), p in objects])
+    assert records == shared_header_records
+
+
+def test_decode_record(benchmark, shared_header, shared_header_records):
+    """Every record of the file, decoded to its kind, name and payload."""
+    decoded = benchmark(lambda: [decode_record(r) for r in shared_header_records])
+    assert [((k, n), p) for k, n, p in decoded] == list(
+        logical_map_from_classic(shared_header).items()
+    )

@@ -7,14 +7,11 @@ slots it performs about n*n/2k string comparisons (``model_hash_cost``).
 Only slots that are hit are ever made, so a call costs O(n) whatever k is;
 the comparisons, and hence the cost model, are those of the full table.
 ``sort_check`` instead orders the whole record list once and groups equal
-keys from adjacent runs.  It sorts by a 64-bit key digest, falling back to
-the key string only on digest ties, so the string comparisons it must count
-stay proportional to the duplicates actually present rather than to n log n.
-
-Digest equality is never trusted for a positive result: payload equality is
-always confirmed on the serialized bytes.  Digest inequality, which does
-prove string inequality, is what both detectors use to skip hopeless
-comparisons cheaply.
+keys from adjacent runs.  It sorts by the 32-bit CRC of the key, falling
+back to the key string only on CRC ties, so the string comparisons it must
+count stay proportional to the duplicates actually present rather than to
+n log n.  Both detectors classify a group of same-name records by comparing
+their serialized bytes.
 
 Both detectors must produce identical shared sets and conflicts for every
 input; counters are exact and deterministic.
@@ -25,7 +22,7 @@ from __future__ import annotations
 import zlib
 from dataclasses import dataclass, field
 
-from .records import decode_record, digest64, record_name
+from .records import decode_record, record_name
 
 __all__ = [
     "NameRecord",
@@ -53,7 +50,6 @@ class NameRecord:
 
     full_name: str
     origin_rank: int
-    payload_digest: int
     payload_ref: bytes
     key: bytes | None = field(default=None, compare=False, repr=False)
 
@@ -97,7 +93,7 @@ def make_name_records(rank_record_lists) -> list[NameRecord]:
     for rank, records in enumerate(rank_record_lists):
         for rec in records:
             key, name = record_name(rec)
-            out.append(NameRecord(name, rank, digest64(rec), rec, key))
+            out.append(NameRecord(name, rank, rec, key))
     return out
 
 
@@ -197,8 +193,7 @@ def _resolve_groups(groups):
 
     Within a group, every record is compared against the first occurrence
     (pair-wise against the reference); each such determination counts as one
-    payload comparison.  Digest inequality proves byte inequality; digest
-    equality is confirmed on the bytes.
+    payload comparison, made on the serialized bytes.
     """
     shared: list[tuple[NameRecord, ...]] = []
     conflicts: list[Conflict] = []
@@ -206,15 +201,9 @@ def _resolve_groups(groups):
     for group in groups:
         if len(group) < 2:
             continue
-        ref = group[0]
-        clean = True
-        for other in group[1:]:
-            payload_comparisons += 1
-            if other.payload_digest == ref.payload_digest:
-                if other.payload_ref == ref.payload_ref:
-                    continue
-            clean = False
-        if clean:
+        ref = group[0].payload_ref
+        payload_comparisons += len(group) - 1
+        if all(other.payload_ref == ref for other in group[1:]):
             shared.append(tuple(group))
         else:
             ranks = tuple(sorted({r.origin_rank for r in group}))

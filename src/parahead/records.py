@@ -1,8 +1,7 @@
 """Canonical serialized form of a single object definition.
 
-Records are the unit exchanged between ranks, digested for fast payload
-comparison, and used for logical-size accounting.  A record is
-self-describing::
+Records are the unit exchanged between ranks and used for logical-size
+accounting.  A record is self-describing::
 
     record    = kind(1)  name_rec  payload
     name_rec  = u32 length + UTF-8 bytes (unpadded)
@@ -21,7 +20,6 @@ from the records of its objects.
 from __future__ import annotations
 
 import struct
-import zlib
 from dataclasses import dataclass
 from enum import IntEnum
 from typing import NamedTuple
@@ -84,11 +82,6 @@ _U32 = struct.Struct(">I")
 _U32X2 = struct.Struct(">II")
 _U64 = struct.Struct(">Q")
 KINDS = {int(k): k for k in ObjectKind}
-
-
-def digest64(data: bytes) -> int:
-    """Deterministic 64-bit non-cryptographic digest (fast-path filter only)."""
-    return zlib.crc32(data) | zlib.crc32(b"\x9e\x37\x79\xb9" + data) << 32
 
 
 def _pack_name(name: str) -> bytes:

@@ -17,7 +17,7 @@ from .errors import (
     MissingObject,
     NoSuchObject,
 )
-from .records import ObjectKind, Payload, decode_record, digest64, encode_record
+from .records import ObjectKind, Payload, decode_record, encode_record
 
 
 def add_gids(out: dict, keys, base=None) -> dict:
@@ -79,7 +79,7 @@ class RankStore:
                     f"rank {self.rank}: {full_name!r} redefined with different metadata"
                 )
             return self._lids[key]
-        obj = NameRecord(full_name, self.rank, digest64(record), record)
+        obj = NameRecord(full_name, self.rank, record)
         self.objects.append(obj)
         self._by_key[key] = obj
         return self._new_lid(key)
@@ -101,8 +101,10 @@ class RankStore:
         agree across ranks wherever it overlaps (the strategy's synchronized
         metadata provides it) and must cover every object this rank defined;
         it may omit objects held only by other ranks, which are then resolved
-        lazily through the read path.
+        lazily through the read path.  A second call is rejected.
         """
+        if self.finalized:
+            raise AlreadyFinalized(f"rank {self.rank} already has its GIDs")
         for key in self._by_key:
             if key not in gids:
                 raise MissingObject(f"rank {self.rank}: {key[1]!r} missing from global order")

@@ -71,7 +71,6 @@ from .records import (
     VarPayload,
     classic_from_records,
     decode_record,  # noqa: F401
-    digest64,
     encode_record,
     pack_stream,
     unpack_stream,
@@ -417,13 +416,12 @@ def run_new_format(
             claims: dict[str, list[int]] = {}
             facts: dict[str, tuple[int, int, int, int, int]] = {}
             block_names = []
-            block_digest = digest64(b"\xff")
             for peer, raw in enumerate(gathered_facts):
                 for entry in unpack_stream(raw):
                     path = entry[_FACTS.size :].decode("ascii")
                     claims.setdefault(path, []).append(peer)
                     facts.setdefault(path, _FACTS.unpack_from(entry))
-                    block_names.append(NameRecord(path, peer, block_digest, b"\xff"))
+                    block_names.append(NameRecord(path, peer, b"\xff"))
             block_report = hash_check(block_names, hash_size)
             ctx.checked(block_report)
             shared_paths = {g[0].full_name for g in block_report.shared_sets}
@@ -581,11 +579,9 @@ class HeaderHandle:
             raise NoSuchObject(f"no {kind.name} named {full_name!r}") from None
 
 
-def open_new_format(image, nranks: int = 1) -> list[HeaderHandle]:
-    """Open a partitioned file on P ranks; each reads only the index table."""
-    if isinstance(image, FileImage):
-        image = image.to_bytes()
-    source = image if hasattr(image, "read") else BytesSource(image)
+def open_new_format(image: bytes, nranks: int = 1) -> list[HeaderHandle]:
+    """Open a partitioned file image on P ranks; each reads only the index table."""
+    source = BytesSource(image)
     return [HeaderHandle(source) for _ in range(nranks)]
 
 

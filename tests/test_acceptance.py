@@ -161,7 +161,7 @@ def test_criterion_04_hash_cost_model_fidelity():
         for name in names:
             raw_name = name.encode()
             rec = b"\x01" + struct.pack(">I", len(raw_name)) + raw_name + b"\x00" * 8
-            records.append(NameRecord(name, 0, 0, rec))
+            records.append(NameRecord(name, 0, rec))
         measured.append(hash_check(records, k).string_comparisons)
     mean = sum(measured) / len(measured)
     assert abs(mean - expected) / expected < 0.25

@@ -137,6 +137,19 @@ def test_inspect_rejects_a_corrupt_path_length(tmp_path, capsys):
     assert "error: read past end" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["inspect", "{missing}/x.phx"],
+    ["convert", "{missing}/x.phx", "{missing}/out.nc", "--format", "classic"],
+    ["gen", "--scale", "0.0005", "--ranks", "1", "--out", "{missing}/x.phx"],
+])
+def test_missing_file_is_one_error_line(argv, tmp_path, capsys):
+    missing = tmp_path / "missing"
+    assert main([a.format(missing=missing) for a in argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(missing) in err
+    assert len(err.splitlines()) == 1
+
+
 def test_gen_and_inspect_classic(tmp_path, capsys):
     path = tmp_path / "header.nc"
     assert main(["gen", "--scale", "0.002", "--ranks", "2", "--seed", "2",

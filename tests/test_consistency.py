@@ -25,7 +25,6 @@ from parahead.records import (
     DimPayload,
     ObjectKind,
     VarPayload,
-    digest64,
     encode_record,
 )
 
@@ -37,7 +36,7 @@ def rec(name: str, rank: int, payload=None) -> NameRecord:
         name,
         payload,
     )
-    return NameRecord(name, rank, digest64(raw), raw)
+    return NameRecord(name, rank, raw)
 
 
 def test_single_slot_arithmetic_series():

@@ -51,6 +51,15 @@ def test_define_after_finalize_rejected():
         store.define(VAR, "u", v())
 
 
+def test_second_finalize_rejected_and_gids_kept():
+    store = RankStore(0)
+    store.define(DIM, "x", DimPayload(4))
+    store.finalize_gids({(DIM, "x"): 0})
+    with pytest.raises(AlreadyFinalized):
+        store.finalize_gids({(DIM, "x"): 7})
+    assert store.gid_of(DIM, 0) == 0
+
+
 def test_finalize_missing_object():
     store = RankStore(1)
     store.define(VAR, "t", v())

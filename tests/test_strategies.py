@@ -843,7 +843,7 @@ def test_lockstep_env_var_selects_scheduler(monkeypatch):
 
 def test_per_rank_handles_count_independently():
     workload = gen_workload(small_spec(seed=62))
-    image = run_new_format(workload, 64).image
+    image = run_new_format(workload, 64).image.to_bytes()
     handles = open_new_format(image, nranks=4)
     assert len(handles) == 4
     reads = {h.io_bytes_read for h in handles}
