@@ -484,38 +484,6 @@ def decode_classic(buf: bytes) -> Header:
     return header
 
 
-def encoded_size(header: Header, version: int = DEFAULT_VERSION) -> int:
-    """Byte size of encode_classic output, computed without encoding."""
-    cnt, _, tail, _, _, _ = _WIDTHS[version]
-    cw = cnt.size
-    size = 4 + cw  # magic + numrecs
-
-    def name_size(text: str) -> int:
-        return cw + len(text) + pad4(len(text))
-
-    def atts_size(atts) -> int:
-        total = 4 + cw
-        for att in atts:
-            raw_len = (
-                len(att.values)
-                if att.type_tag is TypeTag.CHAR
-                else len(att.values) * att.type_tag.itemsize
-            )
-            total += name_size(att.name) + 4 + cw + raw_len + pad4(raw_len)
-        return total
-
-    size += 4 + cw
-    for dim in header.dims:
-        size += name_size(dim.name) + cw
-    size += atts_size(header.global_atts)
-    size += 4 + cw
-    for var in header.vars:
-        size += name_size(var.name) + cw + cw * len(var.dim_refs)
-        size += atts_size(var.attributes)
-        size += tail.size
-    return size
-
-
 def fill_vsizes(header: Header) -> Header:
     """Return a copy with every variable's vsize computed from its dims and type."""
     filled = []
@@ -529,6 +497,26 @@ def fill_vsizes(header: Header) -> Header:
     return replace(header, vars=tuple(filled))
 
 
+def _packed(header: Header, start: int) -> Header:
+    """A copy with every vsize filled and the variables' data packed in id
+    order from ``start``; a value the encoder cannot take raises its error."""
+    try:
+        vars_ = fill_vsizes(header).vars
+    except VALUE_ERRORS as exc:
+        raise UnrepresentableValue(f"header value cannot be encoded: {exc}") from exc
+    placed = []
+    for var in vars_:
+        placed.append(replace(var, begin=start))
+        start += var.vsize
+    return replace(header, vars=tuple(placed))
+
+
+def encoded_size(header: Header, version: int = DEFAULT_VERSION) -> int:
+    """Byte size of the classic encoding of ``header`` once its variables are
+    placed: every field has its version's fixed width, wherever the data starts."""
+    return len(encode_classic(_packed(header, 0), version))
+
+
 def compute_offsets(
     header: Header,
     header_reserve: int,
@@ -538,17 +526,12 @@ def compute_offsets(
     """Assign begin offsets in id order, packing variables after header_reserve.
 
     The first variable starts at header_reserve rounded up to ``alignment``;
-    each subsequent variable follows the previous one's data region.
+    each subsequent variable follows the previous one's data region.  A
+    header that :func:`encode_classic` rejects raises what it raises.
     """
     if alignment < 1 or alignment & (alignment - 1):
         raise ValueError(f"alignment {alignment} is not a power of two")
-    header = fill_vsizes(header)
     need = encoded_size(header, version)
     if header_reserve < need:
         raise ReserveTooSmall(f"reserve {header_reserve} < encoded size {need}")
-    cursor = align_up(header_reserve, alignment)
-    placed = []
-    for var in header.vars:
-        placed.append(replace(var, begin=cursor))
-        cursor += var.vsize
-    return replace(header, vars=tuple(placed))
+    return _packed(header, align_up(header_reserve, alignment))

@@ -142,15 +142,15 @@ def _check_table(entries, index_end: int) -> None:
 
 def encode_index_table(table: IndexTable) -> bytes:
     """Serialize an index table; entries are emitted in path-sorted order."""
-    ordered = tuple(sorted(table.entries, key=lambda e: e.block_path))
-    _check_table(ordered, index_table_encoded_size(e.block_path for e in ordered))
     try:
+        ordered = tuple(sorted(table.entries, key=lambda e: e.block_path))
+        _check_table(ordered, index_table_encoded_size(e.block_path for e in ordered))
         parts = [INDEX_MAGIC, _COUNTS.pack(len(ordered), table.header_reserve)]
         for e in ordered:
             parts.append(_pack_path(e.block_path))
             parts.append(_ENTRY.pack(e.offset, e.size, e.n_dims, e.n_vars, e.n_atts))
-    except struct.error as exc:
-        raise UnrepresentableValue(f"index field out of range: {exc}") from exc
+    except VALUE_ERRORS as exc:
+        raise UnrepresentableValue(f"index field cannot be encoded: {exc}") from exc
     return b"".join(parts)
 
 

@@ -184,10 +184,16 @@ class RankContext:
         self.acquire(sum(len(g) for g in gathered))
         return gathered
 
-    def gather_records(self, records: list[bytes]) -> list[NameRecord]:
-        """Every rank's ``records`` as check input, rank-major."""
-        gathered = self.gather(pack_stream(records))
-        return make_name_records([unpack_stream(g) for g in gathered])
+    def gather_records(self, own: list[NameRecord]) -> list[NameRecord]:
+        """Every rank's records as check input, rank-major.  This rank sends
+        the bytes of its ``own`` and takes them back as they are, so only
+        its peers' records are parsed."""
+        gathered = self.gather(pack_stream([o.payload_ref for o in own]))
+        peers = [[] if r == self.rank else unpack_stream(g) for r, g in enumerate(gathered)]
+        records = make_name_records(peers)
+        at = sum(map(len, peers[: self.rank]))
+        records[at:at] = own
+        return records
 
     def checked(self, report) -> None:
         """Count a check's comparisons; its conflicts raise ConsistencyError."""
@@ -351,7 +357,7 @@ def run_lib_baseline(
                 store.define(d.kind, d.full_name, d.payload)
             ctx.acquire(store.serialized_bytes())
         with ctx.phase("exchange"):
-            records = ctx.gather_records([o.payload_ref for o in store.objects])
+            records = ctx.gather_records(store.objects)
         with ctx.phase("consistency_check"):
             ctx.checked(hash_check(records, hash_size) if check == "hash" else sort_check(records))
         with ctx.phase("header_write"):
@@ -426,12 +432,9 @@ def run_new_format(
             ctx.checked(block_report)
             shared_paths = {g[0].full_name for g in block_report.shared_sets}
 
-            shared_records = ctx.gather_records([
-                obj.payload_ref
-                for path in sorted(own_blocks)
-                if path in shared_paths
-                for obj in own_blocks[path]
-            ])
+            shared_records = ctx.gather_records(
+                [o for p in sorted(own_blocks) if p in shared_paths for o in own_blocks[p]]
+            )
             ctx.checked(hash_check(shared_records, hash_size))
             merged_shared: dict[str, list[NameRecord]] = {p: [] for p in shared_paths}
             for rec in merge_records(shared_records):

@@ -109,6 +109,40 @@ def test_encoded_size_matches_encoding(rng):
         version = (1, 2, 5)[i % 3]
         header = random_header(rng, version)
         assert encoded_size(header, version) == len(encode_classic(header, version))
+        # an unplaced header has the size of its encoding after compute_offsets,
+        # wherever the data goes
+        unplaced = random_header(rng, version, with_offsets=False)
+        size = encoded_size(unplaced, version)
+        placed = compute_offsets(unplaced, size + rng.randrange(4096), 4, version)
+        assert size == len(encode_classic(placed, version))
+
+
+@pytest.mark.parametrize(
+    "header, error",
+    [
+        (Header(dims=(DimensionDef("x", 2), DimensionDef("x", 3))), DuplicateName),
+        (
+            Header(dims=(DimensionDef("t", 0),), vars=(VariableDef("v", (0,), TypeTag.INT),)),
+            UnsupportedFeature,
+        ),
+        (
+            Header(dims=(DimensionDef("x", 2),), vars=(VariableDef("v", (1,), TypeTag.INT),)),
+            DanglingDimRef,
+        ),
+        (
+            Header(dims=(DimensionDef("x", 2.5),), vars=(VariableDef("v", (0,), TypeTag.INT),)),
+            UnrepresentableValue,
+        ),
+    ],
+    ids=["duplicate-name", "length-0-dimension", "dangling-reference", "non-integer-length"],
+)
+def test_sizing_rejects_what_the_encoder_rejects(header, error):
+    with pytest.raises(error):
+        encode_classic(header, 5)
+    with pytest.raises(error):
+        encoded_size(header, 5)
+    with pytest.raises(error):
+        compute_offsets(header, 4096, 4, 5)
 
 
 def test_trailing_bytes_ignored(rng):

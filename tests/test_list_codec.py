@@ -32,10 +32,13 @@ from parahead.errors import (
     UnsupportedFeature,
 )
 from parahead.newformat import (
+    IndexEntry,
+    IndexTable,
     MetadataBlock,
     decode_block,
     decode_index_table,
     encode_block,
+    encode_index_table,
 )
 from parahead.records import AttPayload, DimPayload, ObjectKind, VarPayload, encode_record
 from parahead.store import RankStore
@@ -419,3 +422,43 @@ def test_out_of_range_and_non_integer_values_are_unrepresentable(header):
         att = header.global_atts[0]
         with pytest.raises(UnrepresentableValue):
             encode_record(ObjectKind.ATTRIBUTE, "a", AttPayload(att.type_tag, att.values))
+
+
+any_index_tables = st.builds(
+    IndexTable,
+    st.lists(
+        st.builds(
+            IndexEntry,
+            or_any(st.sampled_from(["", "a", "b/c"])),
+            or_any(st.integers(0, 200)),
+            or_any(st.integers(0, 64)),
+            or_any(st.integers(0, 3)),
+            or_any(st.integers(0, 3)),
+            or_any(st.integers(0, 3)),
+        ),
+        max_size=3,
+    ).map(tuple),
+    or_any(st.integers(0, 400)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(table=any_index_tables)
+def test_index_encoder_raises_only_parahead_errors_on_any_value(table):
+    try:
+        encode_index_table(table)
+    except ParaheadError:
+        pass
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        IndexEntry(5, 100, 10, 1, 0, 0),
+        IndexEntry("a", 100, None, 1, 0, 0),
+    ],
+    ids=["int-path", "size-none"],
+)
+def test_bad_index_entry_fields_are_unrepresentable(entry):
+    with pytest.raises(UnrepresentableValue):
+        encode_index_table(IndexTable((entry,), 200))
