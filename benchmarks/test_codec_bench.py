@@ -8,8 +8,9 @@ Run from the repository root::
 from __future__ import annotations
 
 from parahead.classic import decode_classic, encode_classic
+from parahead.consistency import make_name_records
 from parahead.newformat import block_lists, decode_block, encode_block
-from parahead.records import classic_from_records, decode_record, encode_record
+from parahead.records import check_payload, classic_from_records, decode_record, encode_record
 from parahead.strategies import logical_map_from_classic
 
 
@@ -57,3 +58,9 @@ def test_decode_record(benchmark, shared_header, shared_header_records):
     assert [((k, n), p) for k, n, p in decoded] == list(
         logical_map_from_classic(shared_header).items()
     )
+
+
+def test_check_payload(benchmark, shared_header_records):
+    """Every record of the file, its payload checked past its name, as app's ranks check them."""
+    spans = [(o.payload_ref, len(o.key) + 4) for o in make_name_records([shared_header_records])]
+    assert benchmark(lambda: [check_payload(r, pos) for r, pos in spans]) == [None] * len(spans)

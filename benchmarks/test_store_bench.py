@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import pytest
 
+from parahead.consistency import make_name_records
 from parahead.records import decode_record
 from parahead.store import RankStore, add_gids
 from parahead.strategies import logical_map_from_classic
@@ -26,6 +27,12 @@ def rank_defs(shared_header) -> list:
         for (kind, name), payload in logical_map_from_classic(shared_header).items()
         if name.startswith(("shared/", "r0/"))
     ]
+
+
+@pytest.fixture(scope="session")
+def merged(shared_header_records) -> list:
+    """Every merged record as app's ranks gather it: a NameRecord, its name read."""
+    return make_name_records([shared_header_records])
 
 
 def _store_of(records) -> RankStore:
@@ -47,13 +54,13 @@ def test_define(benchmark, rank_defs):
     assert len(benchmark(define).objects) == len(rank_defs)
 
 
-def test_define_record(benchmark, shared_header_records):
+def test_define_record(benchmark, merged, shared_header_records):
     """app's ``define_record`` of every merged record, on one rank."""
-    store = benchmark(_store_of, shared_header_records)
+    store = benchmark(_store_of, merged)
     assert [o.payload_ref for o in store.objects] == shared_header_records
 
 
-def test_finalize_gids(benchmark, shared_header_records):
+def test_finalize_gids(benchmark, merged, shared_header_records):
     """app's end-define: every merged object bound to its GID."""
     gids = add_gids({}, (decode_record(r)[:2] for r in shared_header_records))
 
@@ -62,7 +69,7 @@ def test_finalize_gids(benchmark, shared_header_records):
         return store
 
     store = benchmark.pedantic(
-        finalize, setup=lambda: ((_store_of(shared_header_records),), {}), rounds=20
+        finalize, setup=lambda: ((_store_of(merged),), {}), rounds=20
     )
     kind, name, _ = decode_record(shared_header_records[-1])
     assert store.gid_of(kind, store.inquire(kind, name)) == gids[(kind, name)]

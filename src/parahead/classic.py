@@ -485,27 +485,27 @@ def decode_classic(buf: bytes) -> Header:
 
 
 def fill_vsizes(header: Header) -> Header:
-    """Return a copy with every variable's vsize computed from its dims and type."""
+    """Return a copy with every variable's vsize computed from its dims and
+    type; a value that has no size raises UnrepresentableValue."""
     filled = []
-    for var in header.vars:
-        for ref in var.dim_refs:
-            if not 0 <= ref < len(header.dims):
-                raise DanglingDimRef(f"variable {var.name!r} references dim {ref}")
-        lengths = tuple(header.dims[r].length for r in var.dim_refs)
-        vsize = var_size_bytes(lengths, var.type_tag)
-        filled.append(var if var.vsize == vsize else replace(var, vsize=vsize))
+    try:
+        for var in header.vars:
+            for ref in var.dim_refs:
+                if not 0 <= ref < len(header.dims):
+                    raise DanglingDimRef(f"variable {var.name!r} references dim {ref}")
+            lengths = tuple(header.dims[r].length for r in var.dim_refs)
+            vsize = var_size_bytes(lengths, var.type_tag)
+            filled.append(var if var.vsize == vsize else replace(var, vsize=vsize))
+    except VALUE_ERRORS as exc:
+        raise UnrepresentableValue(f"header value cannot be encoded: {exc}") from exc
     return replace(header, vars=tuple(filled))
 
 
 def _packed(header: Header, start: int) -> Header:
     """A copy with every vsize filled and the variables' data packed in id
     order from ``start``; a value the encoder cannot take raises its error."""
-    try:
-        vars_ = fill_vsizes(header).vars
-    except VALUE_ERRORS as exc:
-        raise UnrepresentableValue(f"header value cannot be encoded: {exc}") from exc
     placed = []
-    for var in vars_:
+    for var in fill_vsizes(header).vars:
         placed.append(replace(var, begin=start))
         start += var.vsize
     return replace(header, vars=tuple(placed))

@@ -196,6 +196,8 @@ def _bench(args, out) -> int:
                         f"{len(injected)} injected conflicts",
                         file=sys.stderr,
                     )
+                    for line in sorted(map(str, reported)):
+                        print(f"#   {line}", file=sys.stderr)
                 else:
                     print(f"# {kind.value} P={nranks}: {exc}", file=sys.stderr)
                     failures += 1

@@ -55,7 +55,9 @@ class SimComm:
         if nranks < 1:
             raise ValueError("need at least one rank")
         self.nranks = nranks
-        self._cv = threading.Condition()
+        # one condition per rank on one lock: a wake-up reaches only its rank
+        self._lock = threading.RLock()
+        self._wakes = [threading.Condition(self._lock) for _ in range(nranks)]
         self._deposits: list[bytes | None] = [None] * nranks
         self._sigs: list[tuple | None] = [None] * nranks
         self._arrived = 0
@@ -100,33 +102,32 @@ class SimComm:
         self._stats[rank].calls_by_op["barrier"] += 1
 
     def stats(self, rank: int) -> CommStats:
-        with self._cv:
+        with self._lock:
             return self._stats[rank].copy()
 
     def abort(self, reason: str) -> None:
         """Poison the communicator; all current and future waiters raise."""
-        with self._cv:
+        with self._lock:
             if self._aborted is None:
                 self._aborted = CollectiveAborted(reason)
-            self._cv.notify_all()
+            self._wake_all()
 
     # --- rank lifecycle (used by run_ranks) ----------------------------------
 
     def _start(self, rank: int) -> None:
-        with self._cv:
+        with self._lock:
             self._wait_for(rank, lambda: True)
 
     def _finish(self, rank: int) -> None:
-        with self._cv:
+        with self._lock:
             self._done[rank] = True
             self._pass_turn(rank)
             self._check_stuck_round()
-            self._cv.notify_all()
 
     # --- rendezvous core ------------------------------------------------------
 
     def _exchange(self, rank: int, op: str, payload: bytes) -> list[bytes]:
-        with self._cv:
+        with self._lock:
             self._raise_if_aborted()
             self._seq_hash[rank] = zlib.crc32(op.encode(), self._seq_hash[rank])
             joined = self._generation
@@ -160,7 +161,8 @@ class SimComm:
         self._sigs = [None] * self.nranks
         self._arrived = 0
         self._generation += 1
-        self._cv.notify_all()
+        if self._turn is None:
+            self._wake_all()  # in lockstep the publisher keeps the turn
 
     # --- waiting / lockstep turn ----------------------------------------------
 
@@ -177,7 +179,11 @@ class SimComm:
         """
         while not (pred() and (self._turn in (None, rank) or self._aborted is not None)):
             self._raise_if_aborted()
-            self._cv.wait()
+            self._wakes[rank].wait()
+
+    def _wake_all(self) -> None:
+        for wake in self._wakes:
+            wake.notify()
 
     def _pass_turn(self, rank: int) -> None:
         """Hand the lockstep turn from ``rank`` to a rank that can run: a live
@@ -189,7 +195,7 @@ class SimComm:
         ready = [r for r in after if not self._done[r] and self._sigs[r] is None]
         if ready:
             self._turn = ready[self._order.randrange(len(ready)) if self._order else 0]
-            self._cv.notify_all()
+            self._wakes[self._turn].notify()
 
     def _check_stuck_round(self) -> None:
         # a round can never complete once every non-done rank has deposited
@@ -200,7 +206,7 @@ class SimComm:
             self._aborted = CollectiveMisuse(
                 "collective abandoned: a rank exited without joining the round"
             )
-            self._cv.notify_all()
+            self._wake_all()
 
 
 def run_ranks(nranks, body, *, lockstep: bool = False, order_seed=None) -> list:

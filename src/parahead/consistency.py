@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass, field
+from enum import IntEnum
 
 from .records import decode_record, record_name
 
@@ -59,9 +60,29 @@ class NameRecord:
 
 
 @dataclass(frozen=True)
+class Mismatch:
+    """First differing field between two same-named payloads."""
+
+    field: str
+    left: object
+    right: object
+
+    def __str__(self) -> str:
+        shown = [v.name if isinstance(v, IntEnum) else repr(v) for v in (self.left, self.right)]
+        return f"{self.field} {shown[0]} vs {shown[1]}"
+
+
+@dataclass(frozen=True)
 class Conflict:
+    """A name defined with different metadata; ``mismatch`` compares its
+    first definition with the first one that differs from it."""
+
     full_name: str
     ranks: tuple[int, ...]
+    mismatch: Mismatch
+
+    def __str__(self) -> str:
+        return f"{self.full_name}: {self.mismatch} on ranks {', '.join(map(str, self.ranks))}"
 
 
 @dataclass(frozen=True)
@@ -72,15 +93,6 @@ class CheckReport:
     conflicts: tuple[Conflict, ...]
     string_comparisons: int
     payload_comparisons: int
-
-
-@dataclass(frozen=True)
-class Mismatch:
-    """First differing field between two same-named payloads."""
-
-    field: str
-    left: object
-    right: object
 
 
 def make_name_records(rank_record_lists) -> list[NameRecord]:
@@ -193,7 +205,8 @@ def _resolve_groups(groups):
 
     Within a group, every record is compared against the first occurrence
     (pair-wise against the reference); each such determination counts as one
-    payload comparison, made on the serialized bytes.
+    payload comparison, made on the serialized bytes.  Only a conflict's
+    records are decoded, to name the field that differs.
     """
     shared: list[tuple[NameRecord, ...]] = []
     conflicts: list[Conflict] = []
@@ -203,15 +216,13 @@ def _resolve_groups(groups):
             continue
         ref = group[0].payload_ref
         payload_comparisons += len(group) - 1
-        if all(other.payload_ref == ref for other in group[1:]):
+        differing = next((o.payload_ref for o in group[1:] if o.payload_ref != ref), None)
+        if differing is None:
             shared.append(tuple(group))
         else:
             ranks = tuple(sorted({r.origin_rank for r in group}))
-            conflicts.append(Conflict(group[0].full_name, ranks))
+            conflicts.append(Conflict(group[0].full_name, ranks, compare_shared(ref, differing)))
     return tuple(shared), tuple(conflicts), payload_comparisons
-
-
-_FIELD_ORDER = ("kind", "type_tag", "length", "dim_names", "attributes", "values")
 
 
 def compare_shared(a: bytes, b: bytes) -> Mismatch | None:
@@ -222,21 +233,12 @@ def compare_shared(a: bytes, b: bytes) -> Mismatch | None:
     kind_b, _, payload_b = decode_record(b)
     if kind_a != kind_b:
         return Mismatch("kind", kind_a, kind_b)
-    fields_a = _payload_fields(payload_a)
-    fields_b = _payload_fields(payload_b)
-    for name in _FIELD_ORDER:
-        if name in fields_a and fields_a[name] != fields_b[name]:
-            return Mismatch(name, fields_a[name], fields_b[name])
+    for name in ("type_tag", "length", "dim_names", "attributes", "values"):
+        left, right = getattr(payload_a, name, None), getattr(payload_b, name, None)
+        if left != right:
+            return Mismatch(name, left, right)
     # bytes differ but decoded fields agree: name is the remaining field
     return Mismatch("full_name", a, b)
-
-
-def _payload_fields(payload) -> dict:
-    out = {}
-    for name in ("type_tag", "length", "dim_names", "attributes", "values"):
-        if hasattr(payload, name):
-            out[name] = getattr(payload, name)
-    return out
 
 
 def model_hash_cost(n: int, k: int) -> float:

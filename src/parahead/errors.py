@@ -90,13 +90,13 @@ class NoSuchObject(ParaheadError):
 class ConsistencyError(ParaheadError):
     """Same-name objects with divergent metadata were detected across ranks.
 
-    ``conflicts`` holds (full_name, ranks) pairs for every conflicting object.
+    ``conflicts`` holds a :class:`~parahead.consistency.Conflict` for every
+    conflicting object; the message names each one's differing field.
     """
 
     def __init__(self, conflicts):
         self.conflicts = tuple(conflicts)
-        names = ", ".join(sorted(c.full_name for c in self.conflicts))
-        super().__init__(f"inconsistent metadata for: {names}")
+        super().__init__(f"inconsistent metadata: {'; '.join(sorted(map(str, self.conflicts)))}")
 
 
 class TooManyConflicts(ParaheadError):

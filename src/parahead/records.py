@@ -14,7 +14,8 @@ All integers big-endian.  Variables reference dimensions by full name:
 numeric ids only exist after end-define assigns the file order.  Both
 header formats are written straight from records (:func:`record_lists`): the
 classic baselines' rank 0 from its merged records, and each metadata block
-from the records of its objects.
+from the records of its objects.  A record whose name is already read is
+checked by :func:`check_payload`, which walks its payload without building it.
 """
 
 from __future__ import annotations
@@ -207,6 +208,28 @@ def decode_record(buf: bytes) -> tuple[ObjectKind, str, Payload]:
     if pos != end:
         raise CorruptHeader(f"{end - pos} bytes left over after the record")
     return kind, full_name, payload
+
+
+def check_payload(buf: bytes, pos: int) -> None:
+    """Check the record ``buf`` from ``pos``, the offset just past its name,
+    as :func:`decode_record` does: the same checks in the same order, with
+    no value unpacked and no payload built."""
+    end = len(buf)
+    kind = KINDS.get(buf[0])
+    if kind is None:
+        raise CorruptHeader(f"unknown record kind {buf[0]}")
+    if kind is ObjectKind.DIMENSION:
+        if pos + 8 > end:
+            raise Truncated(f"record needs a dimension length at offset {pos}")
+        pos += 8
+    elif kind is ObjectKind.ATTRIBUTE:
+        pos = _att_span(buf, pos, end)[3]
+    else:
+        natts, pos = _read_var_head(buf, pos, end)[2:]
+        for _ in range(natts):
+            pos = _att_span(buf, _read_name(buf, pos, end)[1], end)[3]
+    if pos != end:
+        raise CorruptHeader(f"{end - pos} bytes left over after the record")
 
 
 # the object lists that record_lists writes: version 5 widths

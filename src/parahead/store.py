@@ -17,7 +17,7 @@ from .errors import (
     MissingObject,
     NoSuchObject,
 )
-from .records import ObjectKind, Payload, decode_record, encode_record
+from .records import KINDS, ObjectKind, Payload, check_payload, encode_record
 
 
 def add_gids(out: dict, keys, base=None) -> dict:
@@ -35,7 +35,8 @@ class RankStore:
     """Definitions owned by one rank; exclusively used from its rank context.
 
     Each definition is held once, as the :class:`NameRecord` the conflict
-    checks read, in ``objects`` in creation order.
+    checks read, in ``objects`` in creation order; a gathered record keeps
+    the rank it came from.
     """
 
     def __init__(self, rank: int):
@@ -56,30 +57,29 @@ class RankStore:
         Re-defining the same (name, payload) is idempotent and returns the
         original LID; the same name with a different payload is an error.
         """
-        return self._add(kind, full_name, encode_record(kind, full_name, payload))
+        record = encode_record(kind, full_name, payload)
+        return self._add(NameRecord(full_name, self.rank, record))
 
-    def define_record(self, record: bytes) -> int:
-        """Add a definition from its serialized record and return its LID.
+    def define_record(self, obj: NameRecord) -> int:
+        """Add a gathered definition, its name already read, and return its LID.
 
-        The record is decoded once, to check it, and stored as given; since
-        records encode canonically, that is the record :meth:`define` would
-        have made, and redefinition behaves the same way.
+        Its payload is checked but not built, and ``obj`` itself is stored:
+        records encode canonically, so redefinition behaves as in :meth:`define`.
         """
-        kind, full_name, _ = decode_record(record)
-        return self._add(kind, full_name, record)
+        check_payload(obj.payload_ref, len(obj.key) + 4)
+        return self._add(obj)
 
-    def _add(self, kind: ObjectKind, full_name: str, record: bytes) -> int:
+    def _add(self, obj: NameRecord) -> int:
         if self.finalized:
             raise AlreadyFinalized(f"rank {self.rank} left define mode")
-        key = (kind, full_name)
+        key = (KINDS[obj.key[0]], obj.full_name)
         existing = self._by_key.get(key)
         if existing is not None:
-            if existing.payload_ref != record:
+            if existing.payload_ref != obj.payload_ref:
                 raise LocalNameConflict(
-                    f"rank {self.rank}: {full_name!r} redefined with different metadata"
+                    f"rank {self.rank}: {obj.full_name!r} redefined with different metadata"
                 )
             return self._lids[key]
-        obj = NameRecord(full_name, self.rank, record)
         self.objects.append(obj)
         self._by_key[key] = obj
         return self._new_lid(key)

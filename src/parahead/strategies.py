@@ -322,7 +322,7 @@ def run_app_baseline(
             merged = merge_records(records)
             store = RankStore(ctx.rank)
             for rec in merged:
-                store.define_record(rec.payload_ref)
+                store.define_record(rec)
             ctx.acquire(store.serialized_bytes())
             store.finalize_gids(file_gids(merged))
         with ctx.phase("header_write"):

@@ -145,6 +145,12 @@ def test_sizing_rejects_what_the_encoder_rejects(header, error):
         compute_offsets(header, 4096, 4, 5)
 
 
+def test_fill_vsizes_rejects_a_non_integer_length():
+    header = Header(dims=(DimensionDef("x", 2.5),), vars=(VariableDef("v", (0,), TypeTag.INT),))
+    with pytest.raises(UnrepresentableValue):
+        fill_vsizes(header)
+
+
 def test_trailing_bytes_ignored(rng):
     header = random_header(rng, 5)
     raw = encode_classic(header, 5)

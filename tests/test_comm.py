@@ -220,3 +220,21 @@ def test_sixteen_ranks():
     results = run_within(LIMIT, 16, body)
     expected = [struct.pack(">H", r) for r in range(16)]
     assert all(r == expected for r in results)
+
+
+@pytest.mark.parametrize("order_seed", [None, 5])
+def test_lockstep_wakes_survive_preemption(order_seed):
+    # each hand-over wakes one rank only: a lost wake-up would hang the run
+    import sys
+
+    def body(rank, comm):
+        return [comm.allgatherv(rank, bytes([rank]) * (i % 3)) for i in range(100)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        results = run_within(LIMIT, 16, body, lockstep=True, order_seed=order_seed)
+    finally:
+        sys.setswitchinterval(interval)
+    expected = [[bytes([r]) * (i % 3) for r in range(16)] for i in range(100)]
+    assert results == [expected] * 16

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from parahead.consistency import make_name_records
 from parahead.errors import (
     AlreadyFinalized,
     LocalNameConflict,
@@ -132,21 +133,28 @@ def test_define_record_matches_define():
     by_payload.define(VAR, "a", v("x"))
     for obj in by_payload.objects:
         record = bytes(bytearray(obj.payload_ref))  # a new object: the store keeps this one
+        [named] = make_name_records([[record]])
         lid = by_payload.inquire(KINDS[obj.key[0]], obj.full_name)
-        assert by_record.define_record(record) == lid
+        assert by_record.define_record(named) == lid
         assert by_record.objects[-1].payload_ref is record
+        assert by_record.objects[-1] is named
     assert by_record.objects == by_payload.objects
+
+
+def gathered(kind, name, payload):
+    """The check input a rank makes of one gathered record."""
+    return make_name_records([[encode_record(kind, name, payload)]])[0]
 
 
 def test_define_record_redefinition_rules():
     store = RankStore(0)
     first = store.define(VAR, "t", v("x"))
-    assert store.define_record(encode_record(VAR, "t", v("x"))) == first
+    assert store.define_record(gathered(VAR, "t", v("x"))) == first
     with pytest.raises(LocalNameConflict):
-        store.define_record(encode_record(VAR, "t", v("y")))
+        store.define_record(gathered(VAR, "t", v("y")))
     store.finalize_gids({(VAR, "t"): 0})
     with pytest.raises(AlreadyFinalized):
-        store.define_record(encode_record(DIM, "x", DimPayload(3)))
+        store.define_record(gathered(DIM, "x", DimPayload(3)))
 
 
 def test_gid_of_rejects_lid_out_of_range():

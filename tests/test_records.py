@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from parahead.classic import AttributeDef, TypeTag
+from parahead.consistency import make_name_records
 from parahead.errors import CorruptHeader, ParaheadError, Truncated
 from parahead.records import (
     AttPayload,
@@ -22,6 +23,7 @@ from parahead.records import (
     record_name,
     unpack_stream,
 )
+from parahead.store import RankStore
 from parahead.workload import gen_workload, spec_for_dataset
 
 def typed_values(allow_nan: bool):
@@ -128,27 +130,72 @@ VAR_T = encode_record(
 )
 
 
-@pytest.mark.parametrize(
-    "buf, error",
-    [
-        pytest.param(b"", Truncated, id="empty"),
-        pytest.param(b"\x07" + DIM_X[1:], CorruptHeader, id="unknown-kind"),
-        pytest.param(
-            VAR_T[:6] + struct.pack(">I", 9) + VAR_T[10:], CorruptHeader, id="unknown-type-tag"
-        ),
-        pytest.param(DIM_X[:5] + b"\xff" + DIM_X[6:], CorruptHeader, id="name-not-utf8"),
-        pytest.param(DIM_X + b"\x00", CorruptHeader, id="bytes-after-payload"),
-        pytest.param(DIM_X[:3], Truncated, id="short-name-length"),
-        pytest.param(DIM_X[:-1], Truncated, id="short-dimension"),
-        pytest.param(VAR_T[:-1], Truncated, id="short-attribute-values"),
-        pytest.param(
-            DIM_X[:1] + struct.pack(">I", 1000) + DIM_X[5:], Truncated, id="name-past-end"
-        ),
-    ],
-)
+MALFORMED = [
+    pytest.param(b"", Truncated, id="empty"),
+    pytest.param(b"\x07" + DIM_X[1:], CorruptHeader, id="unknown-kind"),
+    pytest.param(
+        VAR_T[:6] + struct.pack(">I", 9) + VAR_T[10:], CorruptHeader, id="unknown-type-tag"
+    ),
+    pytest.param(DIM_X[:5] + b"\xff" + DIM_X[6:], CorruptHeader, id="name-not-utf8"),
+    pytest.param(DIM_X + b"\x00", CorruptHeader, id="bytes-after-payload"),
+    pytest.param(DIM_X[:3], Truncated, id="short-name-length"),
+    pytest.param(DIM_X[:-1], Truncated, id="short-dimension"),
+    pytest.param(VAR_T[:-1], Truncated, id="short-attribute-values"),
+    pytest.param(
+        DIM_X[:1] + struct.pack(">I", 1000) + DIM_X[5:], Truncated, id="name-past-end"
+    ),
+]
+
+
+@pytest.mark.parametrize("buf, error", MALFORMED)
 def test_malformed_records_rejected(buf, error):
     with pytest.raises(error):
         decode_record(buf)
+
+
+def _outcome(path, buf: bytes):
+    """The ParaheadError class ``path(buf)`` raises, or None if it succeeds."""
+    try:
+        path(buf)
+    except ParaheadError as exc:
+        return type(exc)
+    return None
+
+
+def _define(buf: bytes) -> None:
+    """app's path for one gathered record: its name is read, then it is defined."""
+    [rec] = make_name_records([[buf]])
+    RankStore(0).define_record(rec)
+
+
+def _decode(buf: bytes) -> None:
+    make_name_records([[buf]])
+    decode_record(buf)
+
+
+@pytest.mark.parametrize(
+    "buf, error", [p for p in MALFORMED if _outcome(record_name, p.values[0]) is None]
+)
+def test_define_record_rejects_malformed_payloads(buf, error):
+    with pytest.raises(error):
+        _define(buf)
+
+
+def test_define_record_rejects_mutated_records_as_decode_does():
+    records = workload_records()
+    rand = random.Random(5)
+    outcomes = set()
+    for _ in range(600):
+        buf = bytearray(rand.choice(records))
+        if rand.random() < 0.25:
+            del buf[rand.randrange(len(buf)) :]
+        else:
+            for _ in range(rand.randint(1, 3)):
+                buf[rand.randrange(len(buf))] = rand.randrange(256)
+        outcome = _outcome(_define, bytes(buf))
+        assert outcome is _outcome(_decode, bytes(buf)), bytes(buf)
+        outcomes.add(outcome)
+    assert {None, Truncated, CorruptHeader} <= outcomes
 
 
 @pytest.mark.parametrize(

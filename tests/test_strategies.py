@@ -171,6 +171,26 @@ def test_conflict_error_is_deterministic_across_ranks():
     assert errors[0] == errors[1] == errors[2]
 
 
+@pytest.mark.parametrize(
+    "mode, field", [("type_mismatch", "type_tag"), ("dim_mismatch", "length")]
+)
+def test_conflict_names_its_field(mode, field):
+    workload = gen_workload(
+        small_spec(nranks=4, conflict_count=3, conflict_mode=mode, seed=99)
+    )
+    errors = []
+    for check in ("hash", "sort"):
+        with pytest.raises(ConsistencyError) as err:
+            run_lib_baseline(workload, 64, check)
+        errors.append(err.value)
+    assert set(errors[0].conflicts) == set(errors[1].conflicts)
+    assert str(errors[0]) == str(errors[1])
+    assert len(errors[0].conflicts) == 3
+    for conflict in errors[0].conflicts:
+        assert conflict.mismatch.field == field
+        assert f"{conflict.full_name}: {field} " in str(errors[0])
+
+
 # --- partitioned strategy specifics ----------------------------------------------
 
 
@@ -595,8 +615,9 @@ def _decodes_per_rank(monkeypatch, workload, run=run_new_format) -> dict:
     """Records each rank thread decodes, in the strategies or in its store."""
     from parahead import store, strategies
 
+    decoders = [m for m in (strategies, store) if hasattr(m, "decode_record")]
     return _calls_per_rank(
-        monkeypatch, workload, lambda w: run(w, 64), "decode_record", (strategies, store)
+        monkeypatch, workload, lambda w: run(w, 64), "decode_record", decoders
     )
 
 
@@ -703,14 +724,18 @@ def test_lib_writes_the_classic_header_from_merged_records_undecoded(monkeypatch
     assert written == {"rank-0": [merged]}  # only the writer, once
 
 
-def test_app_decodes_each_merged_record_once_per_rank(monkeypatch):
+def test_app_checks_each_merged_record_once_per_rank(monkeypatch):
+    from parahead import store
+
     workload = gen_workload(small_spec(shared_fraction=0.5, seed=21))
     merged = sorted({
         encode_record(d.kind, d.full_name, d.payload)
         for defs in workload.per_rank
         for d in defs
     })
-    calls = _decodes_per_rank(monkeypatch, workload, run_app_baseline)
+    assert _decodes_per_rank(monkeypatch, workload, run_app_baseline) == {}
+    run = lambda w: run_app_baseline(w, 64)
+    calls = _calls_per_rank(monkeypatch, workload, run, "check_payload", (store,))
     assert len(calls) == workload.nranks
     for recs in calls.values():
         assert sorted(recs) == merged
