@@ -17,6 +17,7 @@ import sys
 from dataclasses import replace
 
 from .classic import DEFAULT_ALIGN, Header, align_up, decode_classic, encode_classic, encoded_size
+from .comm import MAX_THREAD_RANKS
 from .errors import NameWidthOverflow, ParaheadError
 from .newformat import assemble_image, decode_image, flatten_blocks, partition_header
 from .strategies import (
@@ -116,6 +117,11 @@ def _parse_ranks(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"bad rank list {text!r}") from exc
     if any(r < 1 for r in ranks):
         raise argparse.ArgumentTypeError("rank counts must be >= 1")
+    if max(ranks) > MAX_THREAD_RANKS:
+        raise argparse.ArgumentTypeError(
+            f"at most {MAX_THREAD_RANKS} ranks, one thread each; larger P waits "
+            "for sampled ranks (ROADMAP item 1)"
+        )
     return ranks
 
 

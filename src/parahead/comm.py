@@ -33,6 +33,10 @@ from .errors import CollectiveAborted, CollectiveMisuse, SizeMismatch
 
 OP_NAMES = ("allgather", "allgatherv", "barrier")
 
+# The largest P run with one thread per rank; more ranks need sampled
+# ranks, not more threads.
+MAX_THREAD_RANKS = 256
+
 
 @dataclass
 class CommStats:
@@ -214,7 +218,12 @@ def run_ranks(nranks, body, *, lockstep: bool = False, order_seed=None) -> list:
 
     If any rank raises, peers blocked in collectives are woken with
     CollectiveAborted and the first real exception is re-raised here.
+    More than ``MAX_THREAD_RANKS`` ranks raise ValueError before any thread starts.
     """
+    if nranks > MAX_THREAD_RANKS:
+        raise ValueError(
+            f"{nranks} ranks would start {nranks} threads; at most {MAX_THREAD_RANKS}"
+        )
     comm = SimComm(nranks, lockstep=lockstep, order_seed=order_seed)
     results = [None] * nranks
     errors: list[BaseException | None] = [None] * nranks

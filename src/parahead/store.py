@@ -17,7 +17,7 @@ from .errors import (
     MissingObject,
     NoSuchObject,
 )
-from .records import KINDS, ObjectKind, Payload, check_payload, encode_record
+from .records import ObjectKind, Payload, check_payload, encode_record
 
 
 def add_gids(out: dict, keys, base=None) -> dict:
@@ -72,7 +72,9 @@ class RankStore:
     def _add(self, obj: NameRecord) -> int:
         if self.finalized:
             raise AlreadyFinalized(f"rank {self.rank} left define mode")
-        key = (KINDS[obj.key[0]], obj.full_name)
+        # the kind as a plain int: an (int, str) key holds nothing the
+        # collector tracks, and it equals and hashes as (ObjectKind, str)
+        key = (obj.key[0], obj.full_name)
         existing = self._by_key.get(key)
         if existing is not None:
             if existing.payload_ref != obj.payload_ref:

@@ -10,7 +10,9 @@ Phase wall times, comparison counters, collective byte counts, file-region
 write logs, and a logical memory high-watermark are collected per rank.
 Memory accounting covers retained metadata (the rank's definitions, live
 exchange buffers, and cached index/header state); transient write staging
-is not charged, mirroring bounded I/O staging.
+is not charged, mirroring bounded I/O staging.  An exchange buffer is
+charged while it is live: new_format releases the gathered block facts once
+the layout is made, before it charges its copy of the index.
 """
 
 from __future__ import annotations
@@ -58,12 +60,12 @@ from .newformat import (
     encode_block,  # noqa: F401
     encode_index_table,
     gid_bases,
+    index_table_encoded_size,
     layout_from_stats,
     read_index_table,
     split_full_name,
 )
 from .records import (
-    KINDS,
     AttPayload,
     DimPayload,
     ObjectKind,
@@ -174,6 +176,12 @@ class RankContext:
         if self.held > self.report.mem_high_watermark:
             self.report.mem_high_watermark = self.held
 
+    def release(self, nbytes: int) -> None:
+        """Stop charging ``nbytes`` the rank no longer retains."""
+        if nbytes > self.held:
+            raise ValueError(f"release of {nbytes} B exceeds the {self.held} B held")
+        self.held -= nbytes
+
     def write(self, offset: int, raw: bytes, tag: str) -> None:
         self.image.write(self.rank, offset, raw, tag)
         self.report.io_bytes_written += len(raw)
@@ -251,8 +259,9 @@ def merge_records(name_records) -> list[NameRecord]:
 
 
 def file_gids(merged) -> dict:
-    """(kind, full name) -> GID of every merged record: its per-kind index."""
-    return add_gids({}, ((KINDS[r.key[0]], r.full_name) for r in merged))
+    """(kind, full name) -> GID of every merged record: its per-kind index.
+    The kind is the record's int kind byte, which equals its ObjectKind."""
+    return add_gids({}, ((r.key[0], r.full_name) for r in merged))
 
 
 def build_classic_header(defs, path: str = "") -> Header:
@@ -454,18 +463,29 @@ def run_new_format(
                 elif path in unresolved:
                     raise unresolved[path]
             table = layout_from_stats([(path, *f[:4]) for path, f in facts.items()])
-            index_raw = encode_index_table(table)
-            ctx.acquire(len(index_raw))  # replicated index copy
 
-            # data-section offsets: path-sorted blocks, creation order within;
-            # the layout aligned the reserve
+            # data-section start of each block this rank writes: path-sorted
+            # blocks, creation order within; the layout aligned the reserve
+            mine = []
             data_cursor = table.header_reserve
             for entry in table.entries:
+                if min(claims[entry.block_path]) == ctx.rank:
+                    mine.append((entry, data_cursor))
+                data_cursor += facts[entry.block_path][4]
+            # the layout has used the gathered facts: drop them before the index
+            ctx.release(sum(map(len, gathered_facts)))
+            del gathered_facts, claims, facts, block_names, block_report
+
+            # only rank 0 writes the index, so only it encodes one; every rank
+            # holds a replicated copy of that size
+            if ctx.rank == 0:
+                index_raw = encode_index_table(table)
+                ctx.acquire(len(index_raw))
+            else:
+                ctx.acquire(index_table_encoded_size(e.block_path for e in table.entries))
+            for entry, start in mine:
                 path = entry.block_path
-                start = data_cursor
-                data_cursor += facts[path][4]
-                if min(claims[path]) == ctx.rank:
-                    ctx.write(entry.offset, lists[path].place(start), f"block:{path}")
+                ctx.write(entry.offset, lists[path].place(start), f"block:{path}")
             if ctx.rank == 0:
                 ctx.write(0, index_raw, "index_table")
 
@@ -474,7 +494,7 @@ def run_new_format(
             bases = gid_bases(table.entries)
             gids: dict = {}
             for path, recs in {**own_blocks, **merged_shared}.items():
-                add_gids(gids, ((KINDS[r.key[0]], r.full_name) for r in recs), bases[path])
+                add_gids(gids, ((r.key[0], r.full_name) for r in recs), bases[path])
             store.finalize_gids(gids)
 
     return _run(StrategyKind.NEW_FORMAT, workload, body, lockstep, order_seed)

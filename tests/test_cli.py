@@ -301,6 +301,21 @@ def test_bad_values_are_usage_errors(argv, capsys):
     assert "usage:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("ranks", ["257", "2,4096"])
+def test_more_ranks_than_threads_is_a_usage_error(ranks, capsys, monkeypatch):
+    import threading
+
+    def no_thread(*args, **kwargs):
+        raise AssertionError("a thread was started")
+
+    monkeypatch.setattr(threading.Thread, "start", no_thread)
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "--ranks", ranks, "--strategies", "lib_hash"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "at most 256 ranks" in err and "ROADMAP item 1" in err
+
+
 def test_closed_stdout_pipe_exits_quietly():
     # the reader closes its end before bench writes anything, as `| head -1` may
     proc = subprocess.Popen(

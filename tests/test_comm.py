@@ -25,6 +25,19 @@ def test_allgather_two_ranks():
     assert results[0] == results[1] == [b"\x01", b"\x02"]
 
 
+def test_more_ranks_than_threads_raises_before_any_thread_starts(monkeypatch):
+    from parahead.comm import MAX_THREAD_RANKS, run_ranks
+
+    def no_thread(*args, **kwargs):
+        raise AssertionError("a thread was started")
+
+    monkeypatch.setattr(threading.Thread, "start", no_thread)
+    calls = []
+    with pytest.raises(ValueError, match="at most 256"):
+        run_ranks(MAX_THREAD_RANKS + 1, lambda rank, comm: calls.append(rank))
+    assert MAX_THREAD_RANKS == 256 and calls == []
+
+
 def test_allgather_single_rank_identity():
     def body(rank, comm):
         return comm.allgather(rank, b"solo")

@@ -283,8 +283,116 @@ def test_new_format_memory_accounting_equation():
             len(encode_record(d.kind, d.full_name, d.payload))
             for d in workload.per_rank[rank]
         )
-        gathered = nranks * facts_len + nranks * 4
-        assert report.mem_high_watermark == own + gathered + index_size
+        # the facts are released after layout, before the index is charged
+        shared = nranks * 4
+        assert report.mem_high_watermark == own + shared + max(nranks * facts_len, index_size)
+
+
+def _new_format_peaks(workload, image: bytes) -> list[int]:
+    """Each rank's exact new_format ``mem_hw``: its own records, plus every
+    rank's records of blocks claimed by several ranks, plus the larger of
+    the gathered block facts and the index copy."""
+    blocks = []  # per rank: path -> lengths of its records there
+    for defs in workload.per_rank:
+        records = {(d.kind, d.full_name): encode_record(d.kind, d.full_name, d.payload)
+                   for d in defs}
+        paths: dict[str, list[int]] = {}
+        for (_, name), rec in records.items():
+            paths.setdefault(split_full_name(name)[0], []).append(len(rec))
+        blocks.append(paths)
+    claims: dict[str, int] = {}
+    for paths in blocks:
+        for path in paths:
+            claims[path] = claims.get(path, 0) + 1
+    # gathered streams: a u32 count, then a u32 length before each item
+    facts = sum(4 + sum(4 + 40 + len(p) for p in paths) for paths in blocks)
+    shared = sum(
+        4 + sum(4 + n for p, lens in paths.items() if claims[p] > 1 for n in lens)
+        for paths in blocks
+    )
+    entries = open_new_format(image)[0].index_table.entries
+    index_size = index_table_encoded_size([e.block_path for e in entries])
+    return [sum(sum(lens) for lens in paths.values()) + shared + max(facts, index_size)
+            for paths in blocks]
+
+
+def test_new_format_memory_accounting_with_a_shared_block():
+    workload = gen_workload(small_spec(shared_fraction=0.1, seed=3))
+    result = run_new_format(workload, 64)
+    assert "shared" in {split_full_name(d.full_name)[0] for d in workload.per_rank[0]}
+    peaks = _new_format_peaks(workload, result.image.to_bytes())
+    assert [r.mem_high_watermark for r in result.reports] == peaks
+
+
+def test_new_format_encodes_the_index_on_rank_0_only(monkeypatch):
+    import threading
+
+    from parahead import strategies
+
+    encoders = []
+    charged: dict[int, list[int]] = {}
+    encode, acquire = strategies.encode_index_table, strategies.RankContext.acquire
+
+    def counting(table):
+        encoders.append(threading.current_thread().name)
+        return encode(table)
+
+    def recording(ctx, nbytes):
+        charged.setdefault(ctx.rank, []).append(nbytes)
+        acquire(ctx, nbytes)
+
+    monkeypatch.setattr(strategies, "encode_index_table", counting)
+    monkeypatch.setattr(strategies.RankContext, "acquire", recording)
+    for shared in (0.0, 0.1):
+        encoders.clear()
+        charged.clear()
+        workload = gen_workload(small_spec(shared_fraction=shared, seed=3))
+        result = run_new_format(workload, 64)
+        assert encoders == ["rank-0"]
+        (index_len,) = [w.length for w in result.image.log if w.tag == "index_table"]
+        # the index copy is the last charge of every rank
+        assert sorted(charged) == list(range(workload.nranks))
+        assert all(sizes[-1] == index_len for sizes in charged.values())
+
+
+def test_release_uncharges_and_never_goes_below_zero():
+    from parahead.comm import SimComm
+    from parahead.strategies import FileImage, RankContext, StrategyKind
+
+    ctx = RankContext(StrategyKind.NEW_FORMAT, 0, SimComm(1), FileImage())
+    ctx.acquire(10)
+    ctx.release(4)
+    ctx.acquire(3)
+    assert (ctx.held, ctx.report.mem_high_watermark) == (9, 10)
+    with pytest.raises(ValueError):
+        ctx.release(10)
+    assert ctx.held == 9
+
+
+def test_gid_and_store_keys_are_untracked_after_a_collection():
+    import gc
+
+    from parahead.consistency import make_name_records
+    from parahead.store import RankStore
+    from parahead.strategies import file_gids, merge_records
+
+    workload = gen_workload(small_spec(shared_fraction=0.1, seed=3))
+    merged = merge_records(make_name_records(
+        [[encode_record(d.kind, d.full_name, d.payload) for d in defs]
+         for defs in workload.per_rank]
+    ))
+    gids = file_gids(merged)
+    store = RankStore(0)
+    for rec in merged:
+        store.define_record(rec)
+    store.finalize_gids(gids)
+    gc.collect()
+    keys = [*gids, *store._by_key, *store._lids]
+    assert len(keys) == 3 * len(merged)
+    assert not any(gc.is_tracked(k) for k in keys)
+    # lookups by ObjectKind still find the int-kind keys
+    d = workload.per_rank[1][-1]
+    assert store.gid_of(d.kind, store.inquire(d.kind, d.full_name)) == gids[(d.kind, d.full_name)]
 
 
 def test_new_format_memory_beats_baseline():
