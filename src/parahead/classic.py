@@ -148,6 +148,8 @@ _WIDTHS = {
 TYPES = {
     int(t): (t, t.itemsize, None if t is TypeTag.CHAR else t.struct_char) for t in TypeTag
 }
+# magic, version byte and numrecs (always 0): what a header holds before its lists
+_CLASSIC_HEADS = {v: MAGIC_PREFIX + bytes([v]) + _WIDTHS[v][0].pack(0) for v in SUPPORTED_VERSIONS}
 _PADS = (b"", b"\x00", b"\x00\x00", b"\x00\x00\x00")  # indexed by pad length
 # What packing a value of the wrong type or range raises (300 as a BYTE, 2.5 as
 # a length); encoders catch them around the whole encode, not per value.
@@ -173,17 +175,6 @@ def var_size_bytes(dim_lengths: tuple[int, ...], type_tag: TypeTag) -> int:
     return raw + pad4(raw)
 
 
-def pack_values(type_tag: TypeTag, values) -> bytes:
-    """Pack attribute values as big-endian bytes (unpadded)."""
-    if type_tag is TypeTag.CHAR:
-        if not isinstance(values, (bytes, bytearray)):
-            raise CorruptHeader("CHAR attribute values must be bytes")
-        return bytes(values)
-    if not values:
-        raise CorruptHeader("numeric attribute needs at least one value")
-    return struct.pack(f">{len(values)}{type_tag.struct_char}", *values)
-
-
 def _owned(what: str, name: str, owner: str | None) -> str:
     return f"{what} {name!r}" if owner is None else f"{what} {name!r} of {owner!r}"
 
@@ -199,111 +190,18 @@ def _check_regions(vars_) -> None:
 # --- encoding ------------------------------------------------------------------
 
 
-def _name_record(name: str, cnt: struct.Struct, cmax: int) -> bytes:
-    validate_name(name)
-    raw = name.encode("ascii")
-    if len(raw) > cmax:
-        raise UnrepresentableValue(f"name length {len(raw)} exceeds version width")
-    return cnt.pack(len(raw)) + raw + _PADS[-len(raw) & 3]
-
-
-def _list_head(pair: struct.Struct, tag: int, n: int, cmax: int, what: str) -> bytes:
-    if n > cmax:
-        raise UnrepresentableValue(f"{what} count {n} exceeds version width")
-    return pair.pack(tag if n else 0, n)
-
-
-def _encode_att_list(put, atts, version: int, owner: str | None) -> None:
-    cnt, pair, _, _, cmax, _ = _WIDTHS[version]
-    put(_list_head(pair, TAG_ATTRIBUTES, len(atts), cmax, "attribute"))
-    seen = set()
-    for att in atts:
-        name, type_tag = att.name, att.type_tag
-        put(_name_record(name, cnt, cmax))
-        if name in seen:
-            raise DuplicateName(_owned("attribute", name, owner))
-        seen.add(name)
-        if type_tag is TypeTag.INT64 and version != 5:
-            raise UnrepresentableValue(f"type {type_tag.name} needs format version 5")
-        raw = pack_values(type_tag, att.values)  # each attribute is packed once
-        nelems = len(raw) // type_tag.itemsize
-        if nelems > cmax:
-            raise UnrepresentableValue(f"attribute value count {nelems} exceeds version width")
-        put(pair.pack(type_tag, nelems))
-        put(raw)
-        put(_PADS[-len(raw) & 3])
-
-
-def encode_header_lists(header: Header, version: int) -> bytes:
-    """Encode the three object lists (no magic/numrecs); shared with block encoding.
-
-    One pass: each object is checked as it is written, with the same checks
-    as :func:`decode_header_lists`, and each attribute is packed once.
-    """
-    if version not in SUPPORTED_VERSIONS:
-        raise UnrepresentableValue(f"unknown format version {version}")
-    cnt, pair, tail, code, cmax, omax = _WIDTHS[version]
-    parts: list[bytes] = []
-    put = parts.append
-    dims = header.dims
-    put(_list_head(pair, TAG_DIMENSIONS, len(dims), cmax, "dimension"))
-    lengths = []
-    seen = set()
-    for dim in dims:
-        name, length = dim.name, dim.length
-        put(_name_record(name, cnt, cmax))
-        if length < 1:
-            raise UnsupportedFeature(f"dimension {name!r} has length {length}")
-        if length > cmax:
-            raise UnrepresentableValue(f"dimension length {length} exceeds version width")
-        if name in seen:
-            raise DuplicateName(f"dimension {name!r}")
-        seen.add(name)
-        put(cnt.pack(length))
-        lengths.append(length)
-    _encode_att_list(put, header.global_atts, version, None)
-    put(_list_head(pair, TAG_VARIABLES, len(header.vars), cmax, "variable"))
-    seen = set()
-    last_end = 0
-    ordered = True  # begins ascend without overlap, so no sort is needed
-    for var in header.vars:
-        name, type_tag, vsize, begin = var.name, var.type_tag, var.vsize, var.begin
-        put(_name_record(name, cnt, cmax))
-        if name in seen:
-            raise DuplicateName(f"variable {name!r}")
-        seen.add(name)
-        size = type_tag.itemsize
-        for ref in var.dim_refs:
-            if not 0 <= ref < len(lengths):
-                raise DanglingDimRef(f"variable {name!r} references dim {ref}")
-            size *= lengths[ref]
-        put(cnt.pack(len(var.dim_refs)))
-        put(struct.pack(f">{len(var.dim_refs)}{code}", *var.dim_refs))
-        _encode_att_list(put, var.attributes, version, name)
-        if type_tag is TypeTag.INT64 and version != 5:
-            raise UnrepresentableValue(f"type {type_tag.name} needs format version 5")
-        size += -size & 3
-        if vsize != size:
-            raise CorruptHeader(f"variable {name!r} vsize {vsize}, expected {size}")
-        if begin < 0:
-            raise CorruptHeader(f"variable {name!r} has negative begin")
-        if vsize > cmax:
-            raise UnrepresentableValue(f"variable size {vsize} exceeds version width")
-        if begin > omax:
-            raise UnrepresentableValue(f"variable begin {begin} exceeds version width")
-        put(tail.pack(type_tag, vsize, begin))
-        ordered = ordered and begin >= last_end
-        last_end = begin + vsize
-    if not ordered:
-        _check_regions(header.vars)
-    return b"".join(parts)
-
-
 def encode_classic(header: Header, version: int = DEFAULT_VERSION) -> bytes:
-    """Encode a header as classic-format bytes.  Deterministic for equal inputs."""
+    """Encode a header as classic-format bytes.  Deterministic for equal inputs.
+
+    The lists are written by ``records.record_lists`` from the header's
+    objects as records; see :func:`records.header_lists` for the checks.
+    """
+    from .records import header_lists  # records imports this module
+
     try:
-        lists = encode_header_lists(header, version)
-        return MAGIC_PREFIX + bytes([version]) + _WIDTHS[version][0].pack(0) + lists
+        if version not in _CLASSIC_HEADS:
+            raise UnrepresentableValue(f"unknown format version {version}")
+        return header_lists(header, _CLASSIC_HEADS[version], version)
     except VALUE_ERRORS as exc:
         raise UnrepresentableValue(f"header value cannot be encoded: {exc}") from exc
 

@@ -27,7 +27,6 @@ from .classic import (
     Header,
     align_up,
     decode_header_lists,
-    encode_header_lists,
     pad4,
     validate_name,
 )
@@ -42,7 +41,7 @@ from .errors import (
     UnrepresentableValue,
     UnsortedIndex,
 )
-from .records import ObjectKind, RecordLists, record_lists
+from .records import ObjectKind, RecordLists, header_lists, record_lists
 
 INDEX_MAGIC = b"CDH\x01"
 
@@ -216,9 +215,8 @@ def encode_block(block: MetadataBlock) -> bytes:
     """Encode one block: path record followed by the classic object lists."""
     try:
         _check_local_names(block.content)
-        return _pack_path(block.block_path) + encode_header_lists(
-            block.content, _BLOCK_VERSION
-        )
+        path = block.block_path
+        return header_lists(block.content, _pack_path(path), _BLOCK_VERSION, path)
     except VALUE_ERRORS as exc:
         raise UnrepresentableValue(f"block value cannot be encoded: {exc}") from exc
 

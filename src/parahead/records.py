@@ -12,9 +12,11 @@ accounting.  A record is self-describing::
 
 All integers big-endian.  Variables reference dimensions by full name:
 numeric ids only exist after end-define assigns the file order.  Both
-header formats are written straight from records (:func:`record_lists`): the
-classic baselines' rank 0 from its merged records, and each metadata block
-from the records of its objects.  A record whose name is already read is
+header formats are written straight from records (:func:`record_lists`, the
+one list writer): the classic baselines' rank 0 from its merged records,
+each metadata block from the records of its objects, and ``encode_classic``
+and ``encode_block`` from a ``Header``'s objects as records
+(:func:`header_lists`).  A record whose name is already read is
 checked by :func:`check_payload`, which walks its payload without building it.
 """
 
@@ -26,22 +28,22 @@ from enum import IntEnum
 from typing import NamedTuple
 
 from .classic import (
+    _CLASSIC_HEADS,
     _PADS,
     _WIDTHS,
     DEFAULT_ALIGN,
-    MAGIC_PREFIX,
     TAG_ATTRIBUTES,
     TAG_DIMENSIONS,
     TAG_VARIABLES,
     TYPES,
     VALUE_ERRORS,
     AttributeDef,
+    Header,
     TypeTag,
-    _list_head,
-    _name_record,
+    _check_regions,
     _owned,
     align_up,
-    pack_values,
+    validate_name,
 )
 from .errors import (
     CorruptHeader,
@@ -83,6 +85,17 @@ _U32 = struct.Struct(">I")
 _U32X2 = struct.Struct(">II")
 _U64 = struct.Struct(">Q")
 KINDS = {int(k): k for k in ObjectKind}
+
+
+def pack_values(type_tag: TypeTag, values) -> bytes:
+    """Pack attribute values as big-endian bytes (unpadded)."""
+    if type_tag is TypeTag.CHAR:
+        if not isinstance(values, (bytes, bytearray)):
+            raise CorruptHeader("CHAR attribute values must be bytes")
+        return bytes(values)
+    if not values:
+        raise CorruptHeader("numeric attribute needs at least one value")
+    return struct.pack(f">{len(values)}{type_tag.struct_char}", *values)
 
 
 def _pack_name(name: str) -> bytes:
@@ -232,52 +245,59 @@ def check_payload(buf: bytes, pos: int) -> None:
         raise CorruptHeader(f"{end - pos} bytes left over after the record")
 
 
-# the object lists that record_lists writes: version 5 widths
-_CNT, _PAIR, _TAIL, _, _CMAX, _OMAX = _WIDTHS[5]
-_CLASSIC_HEAD = MAGIC_PREFIX + b"\x05" + _CNT.pack(0)  # magic and numrecs
+# --- the header writer ------------------------------------------------------------
 
 
-def _put_att(put, name: str, seen: set, owner: str | None, rec: bytes, pos: int, end: int) -> int:
-    """Write the record's attribute body at ``pos`` as the classic attribute
-    ``name``, its values copied across; returns the offset past the body."""
-    (type_tag, _, fmt), nelems, start, stop = _att_span(rec, pos, end)
-    put(_name_record(name, _CNT, _CMAX))
-    if name in seen:
-        raise DuplicateName(_owned("attribute", name, owner))
-    seen.add(name)
-    if not nelems and fmt is not None:
-        raise CorruptHeader(f"numeric {_owned('attribute', name, owner)} has no values")
-    put(_PAIR.pack(type_tag, nelems))
-    put(rec[start:stop])
-    put(_PADS[-(stop - start) & 3])
-    return stop
+def _name_record(name: str, cnt: struct.Struct, cmax: int) -> bytes:
+    validate_name(name)
+    raw = name.encode("ascii")
+    if len(raw) > cmax:
+        raise UnrepresentableValue(f"name length {len(raw)} exceeds version width")
+    return cnt.pack(len(raw)) + raw + _PADS[-len(raw) & 3]
+
+
+def _list_head(pair: struct.Struct, tag: int, n: int, cmax: int, what: str) -> bytes:
+    if n > cmax:
+        raise UnrepresentableValue(f"{what} count {n} exceeds version width")
+    return pair.pack(tag if n else 0, n)
 
 
 class RecordLists(NamedTuple):
     """Object lists written from records, all but their variables' ``BEGIN``.
 
     ``facts`` is (byte size, n_dims, n_vars, n_atts, data bytes).  The size
-    counts the head and does not depend on where the data starts.
+    counts the head and does not depend on where the data starts.  The
+    widths are those of format ``version``.
     """
 
     facts: tuple[int, int, int, int, int]
     parts: list[bytes]
     tails: list[tuple[int, int, int]]  # per variable: index in parts, type tag, vsize
+    version: int
 
     def place(self, begin: int) -> bytes:
         """The bytes, with the variables' data placed from ``begin`` in id order."""
-        parts = self.parts
-        for i, type_tag, vsize in self.tails:
-            if begin > _OMAX:
-                raise UnrepresentableValue(f"variable begin {begin} exceeds version width")
-            parts[i] = _TAIL.pack(type_tag, vsize, begin)
+        begins = []
+        for _, _, vsize in self.tails:
+            begins.append(begin)
             begin += vsize
+        return self.place_at(begins)
+
+    def place_at(self, begins) -> bytes:
+        """The bytes, with variable ``i``'s data at ``begins[i]``."""
+        _, _, tail, _, _, omax = _WIDTHS[self.version]
+        parts = self.parts
+        for (i, type_tag, vsize), begin in zip(self.tails, begins, strict=True):
+            if begin > omax:
+                raise UnrepresentableValue(f"variable begin {begin} exceeds version width")
+            parts[i] = tail.pack(type_tag, vsize, begin)
         return b"".join(parts)
 
 
-def record_lists(records, head: bytes, cut: int = 0) -> RecordLists:
-    """Version 5 object lists of canonical ``records``, given in file order,
-    after ``head``; each name is stored without its first ``cut`` characters.
+def record_lists(records, head: bytes, cut: int = 0, version: int = 5) -> RecordLists:
+    """Object lists of canonical ``records``, given in file order, after
+    ``head``, with the widths of format ``version``; each name is stored
+    without its first ``cut`` characters.
 
     One pass over the records, with no decoded objects in between: names and
     big-endian attribute values are copied across, and dimension names
@@ -286,8 +306,32 @@ def record_lists(records, head: bytes, cut: int = 0) -> RecordLists:
     The checks are the record decoder's ``Truncated``/``CorruptHeader``,
     ``validate_name``, dimension lengths of at least 1, ``DanglingDimRef``,
     duplicate names, numeric attributes with no values and the version's
-    widths.  Malformed input raises only ParaheadError.
+    widths and types.  Malformed input raises only ParaheadError.
     """
+    cnt, pair, tail, code, cmax, _ = _WIDTHS[version]
+    narrow = version != 5  # no INT64
+
+    def put_att(put, name: str, seen: set, owner: str | None, rec: bytes, pos: int,
+                end: int) -> int:
+        """Write the record's attribute body at ``pos`` as the classic
+        attribute ``name``, its values copied across; returns the offset
+        past the body."""
+        (type_tag, _, fmt), nelems, start, stop = _att_span(rec, pos, end)
+        put(_name_record(name, cnt, cmax))
+        if name in seen:
+            raise DuplicateName(_owned("attribute", name, owner))
+        seen.add(name)
+        if not nelems and fmt is not None:
+            raise CorruptHeader(f"numeric {_owned('attribute', name, owner)} has no values")
+        if narrow and type_tag is TypeTag.INT64:
+            raise UnrepresentableValue(f"type {type_tag.name} needs format version 5")
+        if nelems > cmax:
+            raise UnrepresentableValue(f"attribute value count {nelems} exceeds version width")
+        put(pair.pack(type_tag, nelems))
+        put(rec[start:stop])
+        put(_PADS[-(stop - start) & 3])
+        return stop
+
     dims: list[bytes] = []
     gatts: list[bytes] = []
     dim_ids: dict[str, int] = {}
@@ -310,40 +354,42 @@ def record_lists(records, head: bytes, cut: int = 0) -> RecordLists:
             pos += 8
             if pos != end:
                 raise CorruptHeader(f"{end - pos} bytes left over after the record")
-            dims.append(_name_record(name[cut:], _CNT, _CMAX))
+            dims.append(_name_record(name[cut:], cnt, cmax))
             if length < 1:
                 raise UnsupportedFeature(f"dimension {name!r} has length {length}")
-            if length > _CMAX:
+            if length > cmax:
                 raise UnrepresentableValue(f"dimension length {length} exceeds version width")
             if name in dim_ids:
                 raise DuplicateName(f"dimension {name!r}")
             dim_ids[name] = len(lengths)
             lengths.append(length)
-            dims.append(_CNT.pack(length))
+            dims.append(cnt.pack(length))
         elif kind is ObjectKind.ATTRIBUTE:
-            pos = _put_att(gatts.append, name[cut:], gatt_names, None, rec, pos, end)
+            pos = put_att(gatts.append, name[cut:], gatt_names, None, rec, pos, end)
             if pos != end:
                 raise CorruptHeader(f"{end - pos} bytes left over after the record")
         else:
             entry, dim_names, natts, pos = _read_var_head(rec, pos, end)
-            atts = [_list_head(_PAIR, TAG_ATTRIBUTES, natts, _CMAX, "attribute")]
+            atts = [_list_head(pair, TAG_ATTRIBUTES, natts, cmax, "attribute")]
             seen: set[str] = set()
             for _ in range(natts):
                 att_name, pos = _read_name(rec, pos, end)
-                pos = _put_att(atts.append, att_name, seen, name, rec, pos, end)
+                pos = put_att(atts.append, att_name, seen, name, rec, pos, end)
             if pos != end:
                 raise CorruptHeader(f"{end - pos} bytes left over after the record")
-            name_rec = _name_record(name[cut:], _CNT, _CMAX)
+            name_rec = _name_record(name[cut:], cnt, cmax)
             if name in var_names:
                 raise DuplicateName(f"variable {name!r}")
             var_names.add(name)
+            if narrow and entry[0] is TypeTag.INT64:
+                raise UnrepresentableValue(f"type {entry[0].name} needs format version 5")
             pending.append((name, name_rec, entry, dim_names, b"".join(atts)))
 
-    parts = [head, _list_head(_PAIR, TAG_DIMENSIONS, len(lengths), _CMAX, "dimension")]
+    parts = [head, _list_head(pair, TAG_DIMENSIONS, len(lengths), cmax, "dimension")]
     parts += dims
-    parts.append(_list_head(_PAIR, TAG_ATTRIBUTES, len(gatt_names), _CMAX, "attribute"))
+    parts.append(_list_head(pair, TAG_ATTRIBUTES, len(gatt_names), cmax, "attribute"))
     parts += gatts
-    parts.append(_list_head(_PAIR, TAG_VARIABLES, len(pending), _CMAX, "variable"))
+    parts.append(_list_head(pair, TAG_VARIABLES, len(pending), cmax, "variable"))
     tails = []
     data = 0
     for name, name_rec, (type_tag, size, _), dim_names, atts in pending:
@@ -357,14 +403,15 @@ def record_lists(records, head: bytes, cut: int = 0) -> RecordLists:
             refs.append(ref)
             size *= lengths[ref]
         size += -size & 3
-        if size > _CMAX:
+        if size > cmax:
             raise UnrepresentableValue(f"variable size {size} exceeds version width")
-        parts += (name_rec, _CNT.pack(len(refs)), struct.pack(f">{len(refs)}Q", *refs), atts)
+        parts += (name_rec, cnt.pack(len(refs)), struct.pack(f">{len(refs)}{code}", *refs), atts)
         tails.append((len(parts), type_tag, size))
         parts.append(b"")  # the tail, once the data section's start is known
         data += size
-    nbytes = sum(map(len, parts)) + len(tails) * _TAIL.size
-    return RecordLists((nbytes, len(lengths), len(pending), len(gatt_names), data), parts, tails)
+    nbytes = sum(map(len, parts)) + len(tails) * tail.size
+    facts = (nbytes, len(lengths), len(pending), len(gatt_names), data)
+    return RecordLists(facts, parts, tails, version)
 
 
 def classic_from_records(records) -> bytes:
@@ -375,8 +422,51 @@ def classic_from_records(records) -> bytes:
     ``compute_offsets(build_classic_header(decoded records), encoded_size,
     DEFAULT_ALIGN, 5)``, and so do the checks (see :func:`record_lists`).
     """
-    lists = record_lists(records, _CLASSIC_HEAD)
+    lists = record_lists(records, _CLASSIC_HEADS[5])
     return lists.place(align_up(lists.facts[0], DEFAULT_ALIGN))
+
+
+def header_lists(header: Header, head: bytes, version: int, path: str = "") -> bytes:
+    """``head`` and the object lists of ``header``, which :func:`record_lists`
+    writes from its objects as records named ``path/name`` (``name`` with no
+    path); each variable's data stays at its own ``begin``.
+
+    What a record cannot carry is checked here: dimension ids in range
+    (``DanglingDimRef``), dimension lengths of at least 1
+    (``UnsupportedFeature``) and variable types that are ``TypeTag``s
+    (``UnrepresentableValue``).  So are the header's own ``vsize``s against
+    the writer's, negative ``begin``s and overlapping data regions
+    (``CorruptHeader``).  A value no record can hold raises what
+    :func:`encode_record` raises.
+    """
+    prefix = f"{path}/" if path else ""
+    records = []
+    dim_names = []
+    for dim in header.dims:
+        if dim.length < 1:
+            raise UnsupportedFeature(f"dimension {dim.name!r} has length {dim.length}")
+        dim_names.append(prefix + dim.name)
+        records.append(encode_record(ObjectKind.DIMENSION, dim_names[-1], DimPayload(dim.length)))
+    for att in header.global_atts:
+        payload = AttPayload(att.type_tag, att.values)
+        records.append(encode_record(ObjectKind.ATTRIBUTE, prefix + att.name, payload))
+    for var in header.vars:
+        for ref in var.dim_refs:
+            if not 0 <= ref < len(dim_names):
+                raise DanglingDimRef(f"variable {var.name!r} references dim {ref}")
+        if not isinstance(var.type_tag, TypeTag):  # a record holds only its number
+            raise UnrepresentableValue(f"variable {var.name!r} has type {var.type_tag!r}")
+        refs = tuple(dim_names[ref] for ref in var.dim_refs)
+        payload = VarPayload(var.type_tag, refs, var.attributes)
+        records.append(encode_record(ObjectKind.VARIABLE, prefix + var.name, payload))
+    lists = record_lists(records, head, len(prefix), version)
+    for var, (_, _, vsize) in zip(header.vars, lists.tails):
+        if var.vsize != vsize:
+            raise CorruptHeader(f"variable {var.name!r} vsize {var.vsize}, expected {vsize}")
+        if var.begin < 0:
+            raise CorruptHeader(f"variable {var.name!r} has negative begin")
+    _check_regions(header.vars)
+    return lists.place_at([var.begin for var in header.vars])
 
 
 def record_name(rec: bytes) -> tuple[bytes, str]:

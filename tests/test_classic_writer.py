@@ -1,8 +1,11 @@
 """The records writer against the pipelines it replaces: rank 0's classic
-header (classic_from_records) and new_format's blocks (block_lists).
+header (classic_from_records), new_format's blocks (block_lists), and the
+Header encoders (encode_classic, encode_block) that now write through it.
 
 The references decode each record, build a Header, place its data and
-encode it; the writer must give the same bytes, and fail where they fail.
+encode it with the reference writer (reference.py), which writes the lists
+from Header objects; the records writer must give the same bytes, and fail
+where they fail.
 """
 
 from __future__ import annotations
@@ -14,12 +17,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from parahead import classic, newformat
 from parahead.classic import (
     DEFAULT_ALIGN,
     AttributeDef,
     TypeTag,
     compute_offsets,
-    encode_classic,
     encoded_size,
 )
 from parahead.errors import (
@@ -31,7 +34,7 @@ from parahead.errors import (
     UnrepresentableValue,
     UnsupportedFeature,
 )
-from parahead.newformat import MetadataBlock, block_lists, encode_block, split_full_name
+from parahead.newformat import MetadataBlock, block_lists, split_full_name
 from parahead.records import (
     AttPayload,
     DimPayload,
@@ -44,8 +47,15 @@ from parahead.records import (
 )
 from parahead.strategies import build_classic_header, logical_map_from_classic
 
-from conftest import block_records
-from test_list_codec import block_paths, blocked_workload, headers, shared_blocks_workload
+from conftest import block_records, random_header
+from reference import encode_block, encode_classic
+from test_list_codec import (
+    any_headers,
+    block_paths,
+    blocked_workload,
+    headers,
+    shared_blocks_workload,
+)
 from test_records import definitions, workload_records
 
 DIM, VAR, ATT = ObjectKind.DIMENSION, ObjectKind.VARIABLE, ObjectKind.ATTRIBUTE
@@ -281,3 +291,70 @@ def test_block_single_faults_raise_what_the_pipeline_raises(index, record, error
     assert isinstance(outcome(block_reference("p", 4096), BLOCK), bytes)
     assert outcome(block_reference("p", 4096), records) is error
     assert outcome(write_block("p", 4096), records) is error
+
+
+# --- the Header encoders ----------------------------------------------------------
+
+
+def seeded_headers_and_blocks() -> tuple[list, list[MetadataBlock]]:
+    """Criterion 01's draws (seed 101): 1,000 headers, then the blocks of
+    1,000 block sets."""
+    rng = random.Random(101)
+    flat = [random_header(rng, version=2, max_dims=4, max_vars=4) for _ in range(1000)]
+    blocks = []
+    for _ in range(1000):
+        used = set()
+        for _ in range(rng.randint(0, 4)):
+            path = f"s{rng.randrange(10**5):05d}"
+            if path in used:
+                continue
+            used.add(path)
+            blocks.append(MetadataBlock(path, random_header(rng, 5, max_dims=3, max_vars=3)))
+    return flat, blocks
+
+
+def test_header_encoders_equal_the_reference_on_seeded_headers():
+    flat, blocks = seeded_headers_and_blocks()
+    for header in flat:
+        for version in (1, 2, 5):
+            assert classic.encode_classic(header, version) == encode_classic(header, version)
+    for block in blocks:
+        assert newformat.encode_block(block) == encode_block(block)
+
+
+@pytest.mark.parametrize("version", [1, 2, 5])
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_classic_encoder_equals_the_reference_on_valid_headers(version, data):
+    header = data.draw(headers(version, allow_nan=True))
+    assert classic.encode_classic(header, version) == encode_classic(header, version)
+
+
+@settings(max_examples=100, deadline=None)
+@given(path=block_paths, content=headers(5, local=True, allow_nan=True))
+def test_block_encoder_equals_the_reference_on_valid_blocks(path, content):
+    block = MetadataBlock(path, content)
+    assert newformat.encode_block(block) == encode_block(block)
+
+
+@settings(max_examples=300, deadline=None)
+@given(header=any_headers)
+def test_header_encoders_fail_where_the_reference_fails(header):
+    """Any values at all: both raise a ParaheadError, or both give the same
+    bytes.  The class may differ where several checks fail, or where a value
+    has the wrong type."""
+    pairs = [
+        (lambda h, v=v: classic.encode_classic(h, v), lambda h, v=v: encode_classic(h, v))
+        for v in (1, 2, 5)
+    ]
+    pairs.append((
+        lambda h: newformat.encode_block(MetadataBlock("blk", h)),
+        lambda h: encode_block(MetadataBlock("blk", h)),
+    ))
+    for ours, ref in pairs:
+        expected = outcome(ref, header)
+        got = outcome(ours, header)
+        if isinstance(expected, bytes):
+            assert got == expected
+        else:
+            assert not isinstance(got, bytes)
