@@ -49,6 +49,7 @@ from .strategies import (
     run_app_baseline,
     run_lib_baseline,
     run_new_format,
+    run_strategy,
 )
 from .workload import DATASETS, Workload, WorkloadSpec, gen_workload, spec_for_dataset
 

@@ -4,7 +4,6 @@
 row per (strategy, rank count) with phase times, comparison counters,
 collective byte counts, file I/O bytes, and memory high-watermarks.  Times
 are the maximum over ranks; counters are deterministic for a given seed.
-Set PARAHEAD_LOCKSTEP=1 to serialize rank execution deterministically.
 """
 
 from __future__ import annotations
@@ -25,9 +24,7 @@ from .strategies import (
     HeaderHandle,
     StrategyKind,
     logical_map_from_image,
-    run_app_baseline,
-    run_lib_baseline,
-    run_new_format,
+    run_strategy,
 )
 from .workload import CONFLICT_MODES, DATASETS, WorkloadSpec, gen_workload, spec_for_dataset
 
@@ -60,15 +57,6 @@ _STRATEGY_NAMES = {
     "lib_sort": StrategyKind.LIB_BASELINE_SORT,
     "new": StrategyKind.NEW_FORMAT,
 }
-
-
-def run_strategy(kind: StrategyKind, workload, hash_size, **kwargs):
-    if kind is StrategyKind.APP_BASELINE:
-        return run_app_baseline(workload, hash_size, **kwargs)
-    if kind is StrategyKind.NEW_FORMAT:
-        return run_new_format(workload, hash_size, **kwargs)
-    check = "hash" if kind is StrategyKind.LIB_BASELINE_HASH else "sort"
-    return run_lib_baseline(workload, hash_size, check, **kwargs)
 
 
 def aggregate_row(strategy: StrategyKind, nranks: int, seed: int, reports) -> dict:

@@ -236,7 +236,9 @@ def decode_block(buf: bytes) -> MetadataBlock:
     if len(buf) < lists:
         raise Truncated("block path cut short")
     path = _path_at(buf, 8, path_len, "block")
-    content, _ = decode_header_lists(buf, _BLOCK_VERSION, lists)
+    content, end = decode_header_lists(buf, _BLOCK_VERSION, lists)
+    if end != len(buf):
+        raise CorruptHeader(f"{len(buf) - end} bytes left over after the block's lists")
     _check_local_names(content)
     return MetadataBlock(path, content)
 

@@ -116,7 +116,9 @@ def encode_record(kind: ObjectKind, full_name: str, payload: Payload) -> bytes:
         if kind is ObjectKind.DIMENSION:
             parts.append(struct.pack(">Q", payload.length))
         elif kind is ObjectKind.VARIABLE:
-            parts.append(struct.pack(">II", int(payload.type_tag), len(payload.dim_names)))
+            if not isinstance(payload.type_tag, TypeTag):  # '4', 4.7 or True packs as a number
+                raise UnrepresentableValue(f"variable {full_name!r} has type {payload.type_tag!r}")
+            parts.append(struct.pack(">II", payload.type_tag, len(payload.dim_names)))
             for dim_name in payload.dim_names:
                 parts.append(_pack_name(dim_name))
             parts.append(struct.pack(">I", len(payload.attributes)))
@@ -432,9 +434,8 @@ def header_lists(header: Header, head: bytes, version: int, path: str = "") -> b
     path); each variable's data stays at its own ``begin``.
 
     What a record cannot carry is checked here: dimension ids in range
-    (``DanglingDimRef``), dimension lengths of at least 1
-    (``UnsupportedFeature``) and variable types that are ``TypeTag``s
-    (``UnrepresentableValue``).  So are the header's own ``vsize``s against
+    (``DanglingDimRef``) and dimension lengths of at least 1
+    (``UnsupportedFeature``).  So are the header's own ``vsize``s against
     the writer's, negative ``begin``s and overlapping data regions
     (``CorruptHeader``).  A value no record can hold raises what
     :func:`encode_record` raises.
@@ -454,8 +455,6 @@ def header_lists(header: Header, head: bytes, version: int, path: str = "") -> b
         for ref in var.dim_refs:
             if not 0 <= ref < len(dim_names):
                 raise DanglingDimRef(f"variable {var.name!r} references dim {ref}")
-        if not isinstance(var.type_tag, TypeTag):  # a record holds only its number
-            raise UnrepresentableValue(f"variable {var.name!r} has type {var.type_tag!r}")
         refs = tuple(dim_names[ref] for ref in var.dim_refs)
         payload = VarPayload(var.type_tag, refs, var.attributes)
         records.append(encode_record(ObjectKind.VARIABLE, prefix + var.name, payload))
@@ -487,7 +486,8 @@ def pack_stream(records: list[bytes]) -> bytes:
 
 
 def unpack_stream(buf: bytes) -> list[bytes]:
-    """Inverse of :func:`pack_stream`; a short buffer raises ``Truncated``."""
+    """Inverse of :func:`pack_stream`; a short buffer raises ``Truncated``,
+    bytes left over after the last record ``CorruptHeader``."""
     end = len(buf)
     if end < 4:
         raise Truncated("record stream needs a count")
@@ -502,4 +502,6 @@ def unpack_stream(buf: bytes) -> list[bytes]:
             raise Truncated(f"record at offset {pos} runs past the stream's end")
         out.append(buf[pos + 4 : stop])
         pos = stop
+    if pos != end:
+        raise CorruptHeader(f"{end - pos} bytes left over after the record stream")
     return out

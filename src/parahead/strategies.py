@@ -221,27 +221,6 @@ class RankContext:
         return self.report
 
 
-def _resolve_lockstep(flag) -> bool:
-    if flag is None:
-        return os.environ.get("PARAHEAD_LOCKSTEP", "") == "1"
-    return bool(flag)
-
-
-def _run(strategy: StrategyKind, workload: Workload, body, lockstep, order_seed) -> RunResult:
-    """Run ``body(ctx, defs)`` on every rank of ``workload`` into one file image."""
-    image = FileImage()
-
-    def rank_body(rank: int, comm: SimComm) -> PhaseReport:
-        ctx = RankContext(strategy, rank, comm, image)
-        body(ctx, workload.per_rank[rank])
-        return ctx.close()
-
-    reports = run_ranks(
-        workload.nranks, rank_body, lockstep=_resolve_lockstep(lockstep), order_seed=order_seed
-    )
-    return RunResult(image, reports)
-
-
 # --- shared classic-format machinery -----------------------------------------
 
 
@@ -308,40 +287,197 @@ def _write_classic_root(ctx: RankContext, records) -> None:
         ctx.write(0, classic_from_records(records), "classic_header")
 
 
-# --- application-level baseline -----------------------------------------------
+# --- the strategy bodies: one rank's part of a run -----------------------------
 
 
-def run_app_baseline(
+def _app_body(ctx: RankContext, defs, hash_size: int) -> None:
+    """Exchange and synchronize metadata up front, then create collectively."""
+    with ctx.phase("exchange"):
+        buf = pack_stream([encode_record(d.kind, d.full_name, d.payload) for d in defs])
+        ctx.acquire(len(buf))  # the application keeps its own send buffer too
+        records = make_name_records([unpack_stream(g) for g in ctx.gather(buf)])
+    with ctx.phase("consistency_check"):
+        ctx.checked(hash_check(records, hash_size))
+    with ctx.phase("define"):
+        merged = merge_records(records)
+        store = RankStore(ctx.rank)
+        for rec in merged:
+            store.define_record(rec)
+        ctx.acquire(store.serialized_bytes())
+        store.finalize_gids(file_gids(merged))
+    with ctx.phase("header_write"):
+        # the store holds every merged object, in file order
+        _write_classic_root(ctx, (o.payload_ref for o in store.objects))
+
+
+def _lib_body(ctx: RankContext, defs, hash_size: int) -> None:
+    """Define independently; the library reconciles everything at end-define."""
+    store = RankStore(ctx.rank)
+    with ctx.phase("define"):
+        for d in defs:
+            store.define(d.kind, d.full_name, d.payload)
+        ctx.acquire(store.serialized_bytes())
+    with ctx.phase("exchange"):
+        records = ctx.gather_records(store.objects)
+    with ctx.phase("consistency_check"):
+        hashed = ctx.report.strategy is StrategyKind.LIB_BASELINE_HASH
+        ctx.checked(hash_check(records, hash_size) if hashed else sort_check(records))
+    with ctx.phase("header_write"):
+        merged = merge_records(records)
+        store.finalize_gids(file_gids(merged))
+        _write_classic_root(ctx, (rec.payload_ref for rec in merged))
+
+
+# One block-facts entry: size, n_dims, n_vars, n_atts, data bytes, then the path.
+_FACTS = struct.Struct(">QQQQQ")
+
+
+def _new_body(ctx: RankContext, defs, hash_size: int) -> None:
+    """Partitioned header: exchange block names, compare only shared blocks,
+    and write index plus blocks from their owning ranks."""
+    store = RankStore(ctx.rank)
+    with ctx.phase("define"):
+        for d in defs:
+            store.define(d.kind, d.full_name, d.payload)
+        ctx.acquire(store.serialized_bytes())
+        own_blocks: dict[str, list[NameRecord]] = {}
+        for obj in store.objects:
+            path, _ = split_full_name(obj.full_name)
+            own_blocks.setdefault(path, []).append(obj)
+
+    with ctx.phase("exchange"):
+        # Each own block's lists are made once.  A rank's part of a shared
+        # block may use a dimension another rank defines: its facts are
+        # never read, as the merged block replaces them, and the error
+        # stands if no other rank claims the block.
+        lists: dict[str, RecordLists] = {}
+        unresolved: dict[str, DanglingDimRef] = {}
+        own_facts = []
+        for p, objs in own_blocks.items():
+            try:
+                lists[p] = block_lists(p, (o.payload_ref for o in objs))
+            except DanglingDimRef as exc:
+                unresolved[p] = exc
+            facts = lists[p].facts if p in lists else (0, 0, 0, 0, 0)
+            if facts[4] >= 1 << 64:
+                raise UnrepresentableValue(f"block {p!r} data size {facts[4]} exceeds 64 bits")
+            own_facts.append(_FACTS.pack(*facts) + p.encode("ascii"))
+        gathered_facts = ctx.gather(pack_stream(own_facts))
+
+    with ctx.phase("consistency_check"):
+        # every rank validates its own namespace in its own table, from
+        # the records its store already holds
+        ctx.checked(hash_check(store.objects, hash_size))
+
+        claims: dict[str, list[int]] = {}
+        facts: dict[str, tuple[int, int, int, int, int]] = {}
+        block_names = []
+        for peer, raw in enumerate(gathered_facts):
+            for entry in unpack_stream(raw):
+                path = entry[_FACTS.size :].decode("ascii")
+                claims.setdefault(path, []).append(peer)
+                facts.setdefault(path, _FACTS.unpack_from(entry))
+                block_names.append(NameRecord(path, peer, b"\xff"))
+        block_report = hash_check(block_names, hash_size)
+        ctx.checked(block_report)
+        shared_paths = {g[0].full_name for g in block_report.shared_sets}
+
+        shared_records = ctx.gather_records(
+            [o for p in sorted(own_blocks) if p in shared_paths for o in own_blocks[p]]
+        )
+        ctx.checked(hash_check(shared_records, hash_size))
+        merged_shared: dict[str, list[NameRecord]] = {p: [] for p in shared_paths}
+        for rec in merge_records(shared_records):
+            path, _ = split_full_name(rec.full_name)
+            merged_shared[path].append(rec)
+
+    with ctx.phase("header_write"):
+        # A shared block is made again from its merged records, unless
+        # they are this rank's own records in its own order.
+        for path in sorted(claims):
+            if path in shared_paths:
+                merged = [rec.payload_ref for rec in merged_shared[path]]
+                own = [o.payload_ref for o in own_blocks.get(path, ())]
+                if path in unresolved or merged != own:
+                    lists[path] = block_lists(path, merged)
+                facts[path] = lists[path].facts
+            elif path in unresolved:
+                raise unresolved[path]
+        table = layout_from_stats([(path, *f[:4]) for path, f in facts.items()])
+
+        # data-section start of each block this rank writes: path-sorted
+        # blocks, creation order within; the layout aligned the reserve
+        mine = []
+        data_cursor = table.header_reserve
+        for entry in table.entries:
+            if min(claims[entry.block_path]) == ctx.rank:
+                mine.append((entry, data_cursor))
+            data_cursor += facts[entry.block_path][4]
+        # the layout has used the gathered facts: drop them before the index
+        ctx.release(sum(map(len, gathered_facts)))
+        del gathered_facts, claims, facts, block_names, block_report
+
+        # only rank 0 writes the index, so only it encodes one; every rank
+        # holds a replicated copy of that size
+        if ctx.rank == 0:
+            index_raw = encode_index_table(table)
+            ctx.acquire(len(index_raw))
+        else:
+            ctx.acquire(index_table_encoded_size(e.block_path for e in table.entries))
+        for entry, start in mine:
+            path = entry.block_path
+            ctx.write(entry.offset, lists[path].place(start), f"block:{path}")
+        if ctx.rank == 0:
+            ctx.write(0, index_raw, "index_table")
+
+        # GID assignment: block-sorted order, creation order within block;
+        # a shared block's objects are its merged records
+        bases = gid_bases(table.entries)
+        gids: dict = {}
+        for path, recs in {**own_blocks, **merged_shared}.items():
+            add_gids(gids, ((r.key[0], r.full_name) for r in recs), bases[path])
+        store.finalize_gids(gids)
+
+
+# --- the runner ----------------------------------------------------------------
+
+# The bodies call what they use through this module's globals, looked up at
+# each call, so a name rebound on the module (a tracer's wrapper) reaches them.
+BODIES = {
+    StrategyKind.APP_BASELINE: _app_body,
+    StrategyKind.LIB_BASELINE_HASH: _lib_body,
+    StrategyKind.LIB_BASELINE_SORT: _lib_body,
+    StrategyKind.NEW_FORMAT: _new_body,
+}
+
+
+def run_strategy(
+    kind: StrategyKind,
     workload: Workload,
     hash_size: int = DEFAULT_HASH_SIZE,
     *,
-    lockstep=None,
+    lockstep: bool = False,
     order_seed=None,
 ) -> RunResult:
-    """Exchange and synchronize metadata up front, then create collectively."""
+    """Run strategy ``kind`` on every rank of ``workload`` into one file image;
+    ``lockstep`` and ``order_seed`` pick the scheduler, as in ``run_ranks``."""
+    body = BODIES[kind]
+    image = FileImage()
 
-    def body(ctx: RankContext, defs) -> None:
-        with ctx.phase("exchange"):
-            buf = pack_stream([encode_record(d.kind, d.full_name, d.payload) for d in defs])
-            ctx.acquire(len(buf))  # the application keeps its own send buffer too
-            records = make_name_records([unpack_stream(g) for g in ctx.gather(buf)])
-        with ctx.phase("consistency_check"):
-            ctx.checked(hash_check(records, hash_size))
-        with ctx.phase("define"):
-            merged = merge_records(records)
-            store = RankStore(ctx.rank)
-            for rec in merged:
-                store.define_record(rec)
-            ctx.acquire(store.serialized_bytes())
-            store.finalize_gids(file_gids(merged))
-        with ctx.phase("header_write"):
-            # the store holds every merged object, in file order
-            _write_classic_root(ctx, (o.payload_ref for o in store.objects))
+    def rank_body(rank: int, comm: SimComm) -> PhaseReport:
+        ctx = RankContext(kind, rank, comm, image)
+        body(ctx, workload.per_rank[rank], hash_size)
+        return ctx.close()
 
-    return _run(StrategyKind.APP_BASELINE, workload, body, lockstep, order_seed)
+    reports = run_ranks(workload.nranks, rank_body, lockstep=lockstep, order_seed=order_seed)
+    return RunResult(image, reports)
 
 
-# --- library-level baseline ----------------------------------------------------
+def run_app_baseline(
+    workload: Workload, hash_size: int = DEFAULT_HASH_SIZE, *, lockstep=False, order_seed=None
+) -> RunResult:
+    kind = StrategyKind.APP_BASELINE
+    return run_strategy(kind, workload, hash_size, lockstep=lockstep, order_seed=order_seed)
 
 
 def run_lib_baseline(
@@ -349,155 +485,20 @@ def run_lib_baseline(
     hash_size: int = DEFAULT_HASH_SIZE,
     check: str = "hash",
     *,
-    lockstep=None,
+    lockstep=False,
     order_seed=None,
 ) -> RunResult:
-    """Define independently; the library reconciles everything at end-define."""
-    if check not in ("hash", "sort"):
+    kinds = {"hash": StrategyKind.LIB_BASELINE_HASH, "sort": StrategyKind.LIB_BASELINE_SORT}
+    if check not in kinds:
         raise ValueError(f"check must be 'hash' or 'sort', not {check!r}")
-    strategy = (
-        StrategyKind.LIB_BASELINE_HASH if check == "hash" else StrategyKind.LIB_BASELINE_SORT
-    )
-
-    def body(ctx: RankContext, defs) -> None:
-        store = RankStore(ctx.rank)
-        with ctx.phase("define"):
-            for d in defs:
-                store.define(d.kind, d.full_name, d.payload)
-            ctx.acquire(store.serialized_bytes())
-        with ctx.phase("exchange"):
-            records = ctx.gather_records(store.objects)
-        with ctx.phase("consistency_check"):
-            ctx.checked(hash_check(records, hash_size) if check == "hash" else sort_check(records))
-        with ctx.phase("header_write"):
-            merged = merge_records(records)
-            store.finalize_gids(file_gids(merged))
-            _write_classic_root(ctx, (rec.payload_ref for rec in merged))
-
-    return _run(strategy, workload, body, lockstep, order_seed)
-
-
-# --- partitioned header strategy ------------------------------------------------
-
-# One block-facts entry: size, n_dims, n_vars, n_atts, data bytes, then the path.
-_FACTS = struct.Struct(">QQQQQ")
+    return run_strategy(kinds[check], workload, hash_size, lockstep=lockstep, order_seed=order_seed)
 
 
 def run_new_format(
-    workload: Workload,
-    hash_size: int = DEFAULT_HASH_SIZE,
-    *,
-    lockstep=None,
-    order_seed=None,
+    workload: Workload, hash_size: int = DEFAULT_HASH_SIZE, *, lockstep=False, order_seed=None
 ) -> RunResult:
-    """Partitioned header: exchange block names, compare only shared blocks,
-    and write index plus blocks from their owning ranks."""
-
-    def body(ctx: RankContext, defs) -> None:
-        store = RankStore(ctx.rank)
-        with ctx.phase("define"):
-            for d in defs:
-                store.define(d.kind, d.full_name, d.payload)
-            ctx.acquire(store.serialized_bytes())
-            own_blocks: dict[str, list[NameRecord]] = {}
-            for obj in store.objects:
-                path, _ = split_full_name(obj.full_name)
-                own_blocks.setdefault(path, []).append(obj)
-
-        with ctx.phase("exchange"):
-            # Each own block's lists are made once.  A rank's part of a shared
-            # block may use a dimension another rank defines: its facts are
-            # never read, as the merged block replaces them, and the error
-            # stands if no other rank claims the block.
-            lists: dict[str, RecordLists] = {}
-            unresolved: dict[str, DanglingDimRef] = {}
-            own_facts = []
-            for p, objs in own_blocks.items():
-                try:
-                    lists[p] = block_lists(p, (o.payload_ref for o in objs))
-                except DanglingDimRef as exc:
-                    unresolved[p] = exc
-                facts = lists[p].facts if p in lists else (0, 0, 0, 0, 0)
-                if facts[4] >= 1 << 64:
-                    raise UnrepresentableValue(f"block {p!r} data size {facts[4]} exceeds 64 bits")
-                own_facts.append(_FACTS.pack(*facts) + p.encode("ascii"))
-            gathered_facts = ctx.gather(pack_stream(own_facts))
-
-        with ctx.phase("consistency_check"):
-            # every rank validates its own namespace in its own table, from
-            # the records its store already holds
-            ctx.checked(hash_check(store.objects, hash_size))
-
-            claims: dict[str, list[int]] = {}
-            facts: dict[str, tuple[int, int, int, int, int]] = {}
-            block_names = []
-            for peer, raw in enumerate(gathered_facts):
-                for entry in unpack_stream(raw):
-                    path = entry[_FACTS.size :].decode("ascii")
-                    claims.setdefault(path, []).append(peer)
-                    facts.setdefault(path, _FACTS.unpack_from(entry))
-                    block_names.append(NameRecord(path, peer, b"\xff"))
-            block_report = hash_check(block_names, hash_size)
-            ctx.checked(block_report)
-            shared_paths = {g[0].full_name for g in block_report.shared_sets}
-
-            shared_records = ctx.gather_records(
-                [o for p in sorted(own_blocks) if p in shared_paths for o in own_blocks[p]]
-            )
-            ctx.checked(hash_check(shared_records, hash_size))
-            merged_shared: dict[str, list[NameRecord]] = {p: [] for p in shared_paths}
-            for rec in merge_records(shared_records):
-                path, _ = split_full_name(rec.full_name)
-                merged_shared[path].append(rec)
-
-        with ctx.phase("header_write"):
-            # A shared block is made again from its merged records, unless
-            # they are this rank's own records in its own order.
-            for path in sorted(claims):
-                if path in shared_paths:
-                    merged = [rec.payload_ref for rec in merged_shared[path]]
-                    own = [o.payload_ref for o in own_blocks.get(path, ())]
-                    if path in unresolved or merged != own:
-                        lists[path] = block_lists(path, merged)
-                    facts[path] = lists[path].facts
-                elif path in unresolved:
-                    raise unresolved[path]
-            table = layout_from_stats([(path, *f[:4]) for path, f in facts.items()])
-
-            # data-section start of each block this rank writes: path-sorted
-            # blocks, creation order within; the layout aligned the reserve
-            mine = []
-            data_cursor = table.header_reserve
-            for entry in table.entries:
-                if min(claims[entry.block_path]) == ctx.rank:
-                    mine.append((entry, data_cursor))
-                data_cursor += facts[entry.block_path][4]
-            # the layout has used the gathered facts: drop them before the index
-            ctx.release(sum(map(len, gathered_facts)))
-            del gathered_facts, claims, facts, block_names, block_report
-
-            # only rank 0 writes the index, so only it encodes one; every rank
-            # holds a replicated copy of that size
-            if ctx.rank == 0:
-                index_raw = encode_index_table(table)
-                ctx.acquire(len(index_raw))
-            else:
-                ctx.acquire(index_table_encoded_size(e.block_path for e in table.entries))
-            for entry, start in mine:
-                path = entry.block_path
-                ctx.write(entry.offset, lists[path].place(start), f"block:{path}")
-            if ctx.rank == 0:
-                ctx.write(0, index_raw, "index_table")
-
-            # GID assignment: block-sorted order, creation order within block;
-            # a shared block's objects are its merged records
-            bases = gid_bases(table.entries)
-            gids: dict = {}
-            for path, recs in {**own_blocks, **merged_shared}.items():
-                add_gids(gids, ((r.key[0], r.full_name) for r in recs), bases[path])
-            store.finalize_gids(gids)
-
-    return _run(StrategyKind.NEW_FORMAT, workload, body, lockstep, order_seed)
+    kind = StrategyKind.NEW_FORMAT
+    return run_strategy(kind, workload, hash_size, lockstep=lockstep, order_seed=order_seed)
 
 
 # --- read path --------------------------------------------------------------

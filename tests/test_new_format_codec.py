@@ -203,6 +203,12 @@ def test_root_block_path():
     assert decode_block(encode_block(block)) == block
 
 
+def test_bytes_after_a_blocks_lists_rejected():
+    raw = encode_block(MetadataBlock("b", Header(dims=(DimensionDef("x", 3),))))
+    with pytest.raises(CorruptHeader):
+        decode_block(raw + bytes(8))
+
+
 def test_block_size_hand_computed():
     # one dim "xy" (2 chars), no atts, no vars, path "blk"
     block = MetadataBlock("blk", Header(dims=(DimensionDef("xy", 7),)))

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from parahead.classic import AttributeDef, TypeTag
 from parahead.consistency import make_name_records
-from parahead.errors import CorruptHeader, ParaheadError, Truncated
+from parahead.errors import CorruptHeader, ParaheadError, Truncated, UnrepresentableValue
 from parahead.records import (
     AttPayload,
     DimPayload,
@@ -218,3 +218,22 @@ def test_truncated_streams_rejected():
     for cut in range(len(stream)):
         with pytest.raises(Truncated):
             unpack_stream(stream[:cut])
+
+
+def test_bytes_after_the_last_stream_record_rejected():
+    assert unpack_stream(pack_stream([b"ab", b"c"])) == [b"ab", b"c"]
+    for stream in (pack_stream([b"ab", b"c"]), pack_stream([])):
+        with pytest.raises(CorruptHeader):
+            unpack_stream(stream + b"junk")
+
+
+@pytest.mark.parametrize(
+    "type_tag", ["4", 4.7, True, ObjectKind.VARIABLE], ids=["str", "float", "bool", "kind"]
+)
+def test_variable_type_that_is_no_type_tag_is_unrepresentable(type_tag):
+    # a record holds only the type's number, which each of these passes for
+    payload = VarPayload(type_tag, (), ())
+    with pytest.raises(UnrepresentableValue):
+        encode_record(ObjectKind.VARIABLE, "v", payload)
+    with pytest.raises(UnrepresentableValue):
+        RankStore(0).define(ObjectKind.VARIABLE, "v", payload)
