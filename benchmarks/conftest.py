@@ -23,11 +23,9 @@ from parahead.newformat import (
     MetadataBlock,
     assemble_image,
     encode_block,
-    flatten_blocks,
-    partition_header,
 )
 from parahead.records import encode_record
-from parahead.strategies import logical_map_from_classic
+from parahead.strategies import flatten_blocks, logical_map_from_classic, partition_header
 
 
 def _block_content(rng: random.Random) -> Header:

@@ -18,12 +18,14 @@ from dataclasses import replace
 from .classic import DEFAULT_ALIGN, Header, align_up, decode_classic, encode_classic, encoded_size
 from .comm import MAX_THREAD_RANKS
 from .errors import NameWidthOverflow, ParaheadError
-from .newformat import assemble_image, decode_image, flatten_blocks, partition_header
+from .newformat import assemble_image, decode_image
 from .strategies import (
     FileSource,
     HeaderHandle,
     StrategyKind,
+    flatten_blocks,
     logical_map_from_image,
+    partition_header,
     run_strategy,
 )
 from .workload import CONFLICT_MODES, DATASETS, WorkloadSpec, gen_workload, spec_for_dataset

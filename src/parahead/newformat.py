@@ -18,7 +18,7 @@ there.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 from .classic import (
@@ -33,7 +33,6 @@ from .classic import (
 from .errors import (
     BadMagic,
     CorruptHeader,
-    DanglingDimRef,
     DuplicateName,
     OverlappingBlocks,
     ParaheadError,
@@ -85,10 +84,6 @@ def split_full_name(full_name: str) -> tuple[str, str]:
         return "", full_name
     path, local = full_name.rsplit("/", 1)
     return path, local
-
-
-def join_full_name(block_path: str, local: str) -> str:
-    return f"{block_path}/{local}" if block_path else local
 
 
 def _pack_path(path: str) -> bytes:
@@ -319,71 +314,3 @@ def gid_bases(entries) -> dict[str, dict[ObjectKind, int]]:
         running[ObjectKind.VARIABLE] += e.n_vars
         running[ObjectKind.ATTRIBUTE] += e.n_atts
     return bases
-
-
-# --- block <-> flat mapping ----------------------------------------------------
-
-
-def flatten_blocks(blocks) -> Header:
-    """One flat header from blocks in path order, names prefixed with their path.
-
-    Dimension references are shifted by the dimensions of earlier blocks;
-    ``begin``/``vsize`` are kept, so no variable data moves.
-    """
-    dims = []
-    gatts = []
-    vars_ = []
-    for block in sorted(blocks, key=lambda b: b.block_path):
-        path, content = block.block_path, block.content
-        first = len(dims)
-        dims += [replace(d, name=join_full_name(path, d.name)) for d in content.dims]
-        gatts += [
-            replace(a, name=join_full_name(path, a.name)) for a in content.global_atts
-        ]
-        vars_ += [
-            replace(
-                v,
-                name=join_full_name(path, v.name),
-                dim_refs=tuple(first + r for r in v.dim_refs),
-            )
-            for v in content.vars
-        ]
-    return Header(tuple(dims), tuple(gatts), tuple(vars_))
-
-
-def partition_header(header: Header) -> list[MetadataBlock]:
-    """Group a flat header into blocks by each name's path prefix.
-
-    Slash-free names land in the reserved root block; prefixed names go to
-    the block their path denotes, with references rewritten block-locally.
-    ``begin``/``vsize`` are kept, so no variable data moves.  A variable over
-    another block's dimension raises DanglingDimRef.
-    """
-    grouped: dict[str, tuple[list, list, list]] = {}
-    dim_homes = []  # flat dim id -> (block path, block-local id)
-    for dim in header.dims:
-        path, local = split_full_name(dim.name)
-        dims = grouped.setdefault(path, ([], [], []))[0]
-        dim_homes.append((path, len(dims)))
-        dims.append(replace(dim, name=local))
-    for att in header.global_atts:
-        path, local = split_full_name(att.name)
-        grouped.setdefault(path, ([], [], []))[1].append(replace(att, name=local))
-    for var in header.vars:
-        path, local = split_full_name(var.name)
-        refs = []
-        for r in var.dim_refs:
-            dim_path, local_id = dim_homes[r]
-            if dim_path != path:
-                raise DanglingDimRef(
-                    f"variable {var.name!r} uses dimension {header.dims[r].name!r} "
-                    "from another block; cannot partition"
-                )
-            refs.append(local_id)
-        grouped.setdefault(path, ([], [], []))[2].append(
-            replace(var, name=local, dim_refs=tuple(refs))
-        )
-    return [
-        MetadataBlock(path, Header(tuple(d), tuple(a), tuple(v)))
-        for path, (d, a, v) in grouped.items()
-    ]

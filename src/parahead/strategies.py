@@ -13,6 +13,11 @@ exchange buffers, and cached index/header state); transient write staging
 is not charged, mirroring bounded I/O staging.  An exchange buffer is
 charged while it is live: new_format releases the gathered block facts once
 the layout is made, before it charges its copy of the index.
+
+Objects move between blocks and the flat layout by full name only:
+``flatten_blocks`` and ``partition_header`` (convert's mapping) take the
+``(kind, full name) -> payload`` entries of ``_add_payloads``, group them by
+``split_full_name`` and build each group with ``build_classic_header``.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ import struct
 import threading
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
 from .classic import (
@@ -46,6 +51,7 @@ from .consistency import (
 from .errors import (
     ConsistencyError,
     DanglingDimRef,
+    DuplicateName,
     NoSuchObject,
     ParaheadError,
     Truncated,
@@ -54,6 +60,7 @@ from .errors import (
 from .newformat import (
     BytesSource,
     IndexTable,
+    MetadataBlock,
     block_lists,
     check_block_entry,
     decode_block,
@@ -269,9 +276,13 @@ def build_classic_header(defs, path: str = "") -> Header:
         try:
             refs = tuple(dim_ids[d] for d in payload.dim_names)
         except KeyError as exc:
-            raise DanglingDimRef(
-                f"variable {full_name!r} references unknown dimension {exc.args[0]!r}"
-            ) from exc
+            dim = exc.args[0]
+            if path and split_full_name(dim)[0] != path:
+                msg = f"variable {full_name!r} uses dimension {dim!r} from another block"
+                msg += "; cannot partition"
+            else:
+                msg = f"variable {full_name!r} references unknown dimension {dim!r}"
+            raise DanglingDimRef(msg) from exc
         vsize = var_size_bytes(tuple(dims[r].length for r in refs), payload.type_tag)
         vars_.append(
             VariableDef(
@@ -563,9 +574,8 @@ class HeaderHandle:
         entry = self._entries.get(path)
         if entry is None:
             raise NoSuchObject(f"no metadata block {path!r}")
-        raw = self._take(entry.offset, entry.size)
         try:
-            block = decode_block(raw)
+            block = decode_block(self._take(entry.offset, entry.size))
         except ParaheadError as exc:
             raise type(exc)(f"block {path!r}: {exc}") from exc
         check_block_entry(entry, block)
@@ -648,3 +658,56 @@ def logical_map_from_image(image_bytes: bytes) -> dict:
         return logical_map_from_classic(decode_classic(image_bytes))
     handle = open_new_format(image_bytes)[0]
     return read_full_header(handle)
+
+
+# --- block <-> flat mapping (convert) ------------------------------------------
+
+
+def _add_checked(out: dict, content: Header, path: str = "") -> dict:
+    """``_add_payloads`` that fails closed: a dimension id outside ``content``'s
+    dimensions raises DanglingDimRef, a full name already in ``out`` DuplicateName."""
+    for var in content.vars:
+        if not all(0 <= r < len(content.dims) for r in var.dim_refs):
+            raise DanglingDimRef(f"variable {var.name!r} in {path!r}: dimension id out of range")
+    count = len(out) + len(content.dims) + len(content.global_atts) + len(content.vars)
+    if len(_add_payloads(out, content, path)) != count:
+        raise DuplicateName(f"a full name in {path!r} is not unique")
+    return out
+
+
+def _placed(content: Header, path: str, source: dict) -> Header:
+    """``content`` with each variable's ``begin`` and ``vsize`` taken from
+    ``source[full name]``, so no variable data moves."""
+    prefix = f"{path}/" if path else ""
+    vars_ = []
+    for var in content.vars:
+        old = source[prefix + var.name]
+        vars_.append(replace(var, begin=old.begin, vsize=old.vsize))
+    return replace(content, vars=tuple(vars_))
+
+
+def flatten_blocks(blocks) -> Header:
+    """One flat header from blocks in path order, names prefixed with their path."""
+    objects: dict = {}
+    source = {}
+    for block in sorted(blocks, key=lambda b: b.block_path):
+        path, content = block.block_path, block.content
+        _add_checked(objects, content, path)
+        prefix = f"{path}/" if path else ""
+        source.update((prefix + v.name, v) for v in content.vars)
+    flat = build_classic_header((kind, name, p) for (kind, name), p in objects.items())
+    return _placed(flat, "", source)
+
+
+def partition_header(header: Header) -> list[MetadataBlock]:
+    """Group a flat header into blocks by each name's path prefix; slash-free
+    names land in the reserved root block.  A variable over another block's
+    dimension raises DanglingDimRef."""
+    grouped: dict[str, list] = {}
+    for (kind, name), payload in _add_checked({}, header).items():
+        grouped.setdefault(split_full_name(name)[0], []).append((kind, name, payload))
+    source = {v.name: v for v in header.vars}
+    return [
+        MetadataBlock(path, _placed(build_classic_header(defs, path), path, source))
+        for path, defs in grouped.items()
+    ]

@@ -19,9 +19,8 @@ from parahead.classic import (
     encoded_size,
 )
 from parahead.comm import run_ranks
-from parahead.newformat import flatten_blocks
 from parahead.records import encode_record
-from parahead.strategies import logical_map_from_classic
+from parahead.strategies import flatten_blocks, logical_map_from_classic
 
 NAME_ALPHABET = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_-."
 

@@ -18,8 +18,8 @@ from parahead.classic import (
     encode_classic,
 )
 from parahead.cli import CSV_COLUMNS, main
-from parahead.newformat import decode_image, flatten_blocks
-from parahead.strategies import logical_map_from_image
+from parahead.newformat import decode_image
+from parahead.strategies import flatten_blocks, logical_map_from_image
 
 GOLDEN_HEADER = (
     "strategy,P,seed,t_define_s,t_exchange_s,t_check_s,t_write_s,t_close_s,"
@@ -217,6 +217,16 @@ def test_convert_classic_to_new_moves_data_past_the_larger_header(tmp_path):
     after = flatten_blocks(blocks.values()).vars
     assert table.header_reserve == 920
     assert [v.begin for v in after] == [v.begin + 920 - 272 for v in header.vars]
+
+
+def test_convert_names_a_dimension_of_another_block(tmp_path, capsys):
+    header = Header((DimensionDef("b/x", 2),), (), (VariableDef("a/v", (0,), TypeTag.INT),))
+    src = tmp_path / "cross.nc"
+    src.write_bytes(encode_classic(compute_offsets(header, 1024, version=1), 1))
+    assert main(["convert", str(src), str(tmp_path / "x.phx"), "--format", "new"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "'a/v'" in err and "'b/x'" in err and "another block" in err
 
 
 def test_convert_empty_header(tmp_path):

@@ -5,6 +5,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from parahead.classic import AttributeDef, DimensionDef, Header, TypeTag, VariableDef
 from parahead.errors import (
@@ -32,8 +34,16 @@ from parahead.newformat import (
     layout_from_stats,
     split_full_name,
 )
+from parahead.strategies import (
+    flatten_blocks,
+    logical_map_from_classic,
+    open_new_format,
+    partition_header,
+    read_full_header,
+)
 
 from conftest import block_records, random_header
+from test_list_codec import block_paths, headers
 
 
 def make_entry(path, offset, size, nd=0, nv=0, na=0):
@@ -333,3 +343,41 @@ def test_image_count_validation(rng):
     image[entry_pos : entry_pos + 8] = (99).to_bytes(8, "big")
     with pytest.raises(CorruptHeader):
         decode_image(bytes(image))
+
+
+# --- block <-> flat mapping ----------------------------------------------------
+
+
+@settings(max_examples=150, deadline=None)
+@given(contents=st.dictionaries(block_paths, headers(5, local=True), max_size=4))
+def test_partition_inverts_flatten(contents):
+    blocks = [MetadataBlock(path, content) for path, content in contents.items()]
+    flat = flatten_blocks(blocks)
+    by_path = {b.block_path: b for b in partition_header(flat)}
+    assert by_path == {b.block_path: b for b in blocks if b.content != Header()}
+    image = assemble_image(blocks)
+    assert logical_map_from_classic(flat) == read_full_header(open_new_format(image)[0])
+
+
+@pytest.mark.parametrize("ref", [-1, 3])
+def test_mapping_rejects_dimension_ids_outside_the_header(ref):
+    flat = Header(
+        (DimensionDef("a/x", 2), DimensionDef("a/y", 3)),
+        (),
+        (VariableDef("a/v", (ref,), TypeTag.INT),),
+    )
+    with pytest.raises(DanglingDimRef):
+        partition_header(flat)
+    block = Header(
+        (DimensionDef("x", 2), DimensionDef("y", 3)), (), (VariableDef("v", (ref,), TypeTag.INT),)
+    )
+    with pytest.raises(DanglingDimRef):
+        flatten_blocks([MetadataBlock("a", block)])
+
+
+def test_mapping_rejects_a_repeated_full_name():
+    with pytest.raises(DuplicateName):
+        partition_header(Header((DimensionDef("a/x", 2), DimensionDef("a/x", 3))))
+    root = MetadataBlock("", Header((DimensionDef("a/x", 2),)))  # a local name with '/'
+    with pytest.raises(DuplicateName):
+        flatten_blocks([root, MetadataBlock("a", Header((DimensionDef("x", 2),)))])

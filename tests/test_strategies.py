@@ -14,6 +14,7 @@ from parahead.errors import (
     DanglingDimRef,
     NoSuchObject,
     ParaheadError,
+    Truncated,
     UnrepresentableValue,
 )
 from parahead.newformat import (
@@ -630,6 +631,19 @@ def test_corrupted_block_error_names_the_block():
     assert entry.block_path in str(err.value)
 
 
+def test_truncated_last_block_is_named_by_every_reader():
+    # the lazy reader reads a block inside the same error context as decode_image
+    image = assemble_image(build_many_blocks(2))[:-4]
+    last = decode_index_table(image).entries[-1].block_path
+    for read in (
+        decode_image,
+        lambda b: open_new_format(b)[0].lookup(DIM, f"{last}/any"),
+        lambda b: read_full_header(open_new_format(b)[0]),
+    ):
+        with pytest.raises(Truncated, match=f"^block '{last}': read past end"):
+            read(image)
+
+
 def test_index_entry_disagreeing_with_its_block_is_corrupt():
     blocks = build_many_blocks(8)
     image = bytearray(assemble_image(blocks))
@@ -1010,6 +1024,20 @@ def test_benchmark_tracer_rebinds_existing_names(monkeypatch):
         called.clear()
         run_strategy(kind, workload, 64)
         assert called == names, kind
+
+
+def test_benchmark_modules_load():
+    # benchmarks/ lies outside testpaths: a parahead name its modules import
+    # that moves or goes must fail here, not only in a benchmark run
+    import importlib.util
+    from pathlib import Path
+
+    root = Path(__file__).resolve().parents[1] / "benchmarks"
+    paths = [root / "conftest.py", *sorted(root.glob("test_*.py"))]
+    assert len(paths) > 1
+    for path in paths:
+        spec = importlib.util.spec_from_file_location(f"benchmarks_{path.stem}", path)
+        spec.loader.exec_module(importlib.util.module_from_spec(spec))
 
 
 def test_lockstep_env_var_selects_scheduler(monkeypatch):
