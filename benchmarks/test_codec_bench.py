@@ -62,5 +62,5 @@ def test_decode_record(benchmark, shared_header, shared_header_records):
 
 def test_check_payload(benchmark, shared_header_records):
     """Every record of the file, its payload checked past its name, as app's ranks check them."""
-    spans = [(o.payload_ref, len(o.key) + 4) for o in make_name_records([shared_header_records])]
+    spans = [(o[2], len(o[3]) + 4) for o in make_name_records([shared_header_records])]
     assert benchmark(lambda: [check_payload(r, pos) for r, pos in spans]) == [None] * len(spans)

@@ -31,7 +31,7 @@ def rank_defs(shared_header) -> list:
 
 @pytest.fixture(scope="session")
 def merged(shared_header_records) -> list:
-    """Every merged record as app's ranks gather it: a NameRecord, its name read."""
+    """Every merged record as app's ranks gather it: a name record, its name read."""
     return make_name_records([shared_header_records])
 
 
@@ -57,7 +57,7 @@ def test_define(benchmark, rank_defs):
 def test_define_record(benchmark, merged, shared_header_records):
     """app's ``define_record`` of every merged record, on one rank."""
     store = benchmark(_store_of, merged)
-    assert [o.payload_ref for o in store.objects] == shared_header_records
+    assert [o[2] for o in store.objects] == shared_header_records
 
 
 def test_finalize_gids(benchmark, merged, shared_header_records):

@@ -21,11 +21,11 @@ from .classic import (
 from .comm import CommStats, SimComm, run_ranks
 from .consistency import (
     CheckReport,
-    NameRecord,
     compare_shared,
     hash_check,
     model_hash_cost,
     model_newformat_cost,
+    name_record,
     sort_check,
 )
 from .newformat import (

@@ -20,13 +20,13 @@ input; counters are exact and deterministic.
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import IntEnum
 
 from .records import decode_record, record_name
 
 __all__ = [
-    "NameRecord",
+    "name_record",
     "Conflict",
     "CheckReport",
     "Mismatch",
@@ -40,23 +40,12 @@ __all__ = [
 ]
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class NameRecord:
-    """One gathered definition: conflict checks run over lists of these.
-
-    ``key`` is the namespace key, the kind tag byte followed by the UTF-8
-    full name.  It is made once, at construction, because every detector
-    reads it; it is derived data, so equality and hashing leave it out.
-    """
-
-    full_name: str
-    origin_rank: int
-    payload_ref: bytes
-    key: bytes | None = field(default=None, compare=False, repr=False)
-
-    def __post_init__(self):
-        if self.key is None:
-            self.key = self.payload_ref[:1] + self.full_name.encode("utf-8")
+def name_record(full_name: str, origin_rank: int, record: bytes) -> tuple:
+    """One definition as the checks read it: ``(full_name, origin_rank, record,
+    key)``, ``key`` being the kind byte and the UTF-8 name.  An exact tuple of
+    str, int and bytes leaves the collector's scans after its first pass; a
+    dataclass or tuple subclass stays tracked for as long as it lives."""
+    return (full_name, origin_rank, record, record[:1] + full_name.encode("utf-8"))
 
 
 @dataclass(frozen=True)
@@ -87,16 +76,18 @@ class Conflict:
 
 @dataclass(frozen=True)
 class CheckReport:
-    """Outcome of a conflict check, with exact comparison counters."""
+    """Outcome of a conflict check, with exact comparison counters; each
+    shared set holds one name's :func:`name_record` tuples."""
 
-    shared_sets: tuple[tuple[NameRecord, ...], ...]
+    shared_sets: tuple[tuple[tuple, ...], ...]
     conflicts: tuple[Conflict, ...]
     string_comparisons: int
     payload_comparisons: int
 
 
-def make_name_records(rank_record_lists) -> list[NameRecord]:
-    """Flatten per-rank serialized records into check input, rank-major order.
+def make_name_records(rank_record_lists) -> list[tuple]:
+    """Flatten per-rank serialized records into :func:`name_record` tuples,
+    the check input, in rank-major order.
 
     This is where a gathered record's kind and name are parsed, once each:
     checks, merging and the file order all read them from the result.
@@ -105,7 +96,7 @@ def make_name_records(rank_record_lists) -> list[NameRecord]:
     for rank, records in enumerate(rank_record_lists):
         for rec in records:
             key, name = record_name(rec)
-            out.append(NameRecord(name, rank, rec, key))
+            out.append((name, rank, rec, key))
     return out
 
 
@@ -138,11 +129,11 @@ def hash_check(records, k: int) -> CheckReport:
         raise ValueError("hash table needs at least one slot")
     table: dict[int, list[int]] = {}
     group_keys: list[bytes] = []
-    firsts: list[NameRecord] = []
-    repeats: dict[int, list[NameRecord]] = {}  # later members of groups of two or more
+    firsts: list[tuple] = []
+    repeats: dict[int, list[tuple]] = {}  # later members of groups of two or more
     string_comparisons = 0
     for rec in records:
-        key = rec.key
+        key = rec[3]
         slot = hash_slot(key, k)
         chain = table.get(slot)
         if chain is None:
@@ -168,12 +159,12 @@ def sort_check(records) -> CheckReport:
     run has no duplicate, and groups of one are never shared or conflicting.
     """
     items = list(records)
-    digests = [zlib.crc32(rec.key) for rec in items]
+    digests = [zlib.crc32(rec[3]) for rec in items]
     order = sorted(range(len(items)), key=digests.__getitem__)
     ordered = [digests[i] for i in order]
     n = len(order)
     string_comparisons = 0
-    groups: list[list[NameRecord]] = []
+    groups: list[list[tuple]] = []
     run_end = 0
     for i in [i for i in range(1, n) if ordered[i] == ordered[i - 1]]:
         if i < run_end:
@@ -182,11 +173,11 @@ def sort_check(records) -> CheckReport:
         while run_end < n and ordered[run_end] == ordered[i]:
             run_end += 1
         # digest tie: confirm key equality by string comparison
-        run_groups: list[list[NameRecord]] = []
+        run_groups: list[list[tuple]] = []
         run_keys: list[bytes] = []
         for idx in order[i - 1 : run_end]:
             rec = items[idx]
-            key = rec.key
+            key = rec[3]
             for gi, existing in enumerate(run_keys):
                 string_comparisons += 1
                 if existing == key:
@@ -208,20 +199,20 @@ def _resolve_groups(groups):
     payload comparison, made on the serialized bytes.  Only a conflict's
     records are decoded, to name the field that differs.
     """
-    shared: list[tuple[NameRecord, ...]] = []
+    shared: list[tuple[tuple, ...]] = []
     conflicts: list[Conflict] = []
     payload_comparisons = 0
     for group in groups:
         if len(group) < 2:
             continue
-        ref = group[0].payload_ref
+        ref = group[0][2]
         payload_comparisons += len(group) - 1
-        differing = next((o.payload_ref for o in group[1:] if o.payload_ref != ref), None)
+        differing = next((o[2] for o in group[1:] if o[2] != ref), None)
         if differing is None:
             shared.append(tuple(group))
         else:
-            ranks = tuple(sorted({r.origin_rank for r in group}))
-            conflicts.append(Conflict(group[0].full_name, ranks, compare_shared(ref, differing)))
+            ranks = tuple(sorted({r[1] for r in group}))
+            conflicts.append(Conflict(group[0][0], ranks, compare_shared(ref, differing)))
     return tuple(shared), tuple(conflicts), payload_comparisons
 
 
@@ -235,7 +226,8 @@ def compare_shared(a: bytes, b: bytes) -> Mismatch | None:
         return Mismatch("kind", kind_a, kind_b)
     for name in ("type_tag", "length", "dim_names", "attributes", "values"):
         left, right = getattr(payload_a, name, None), getattr(payload_b, name, None)
-        if left != right:
+        # 0.0 == -0.0 although their records differ; their reprs differ too
+        if left != right or repr(left) != repr(right):
             return Mismatch(name, left, right)
     # bytes differ but decoded fields agree: name is the remaining field
     return Mismatch("full_name", a, b)

@@ -10,7 +10,7 @@ LID on first inquiry.
 
 from __future__ import annotations
 
-from .consistency import NameRecord
+from .consistency import name_record
 from .errors import (
     AlreadyFinalized,
     LocalNameConflict,
@@ -34,16 +34,16 @@ def add_gids(out: dict, keys, base=None) -> dict:
 class RankStore:
     """Definitions owned by one rank; exclusively used from its rank context.
 
-    Each definition is held once, as the :class:`NameRecord` the conflict
-    checks read, in ``objects`` in creation order; a gathered record keeps
-    the rank it came from.
+    Each definition is held once, in ``objects`` in creation order, as the
+    ``(full_name, origin_rank, record, key)`` tuple of :func:`name_record`
+    that the conflict checks read; a gathered record keeps its origin rank.
     """
 
     def __init__(self, rank: int):
         self.rank = rank
-        self.objects: list[NameRecord] = []
+        self.objects: list[tuple] = []
         self.finalized = False
-        self._by_key: dict[tuple[ObjectKind, str], NameRecord] = {}
+        self._by_key: dict[tuple[ObjectKind, str], tuple] = {}
         # (kind, full name) -> LID of local and inquired objects, and back
         self._lids: dict[tuple[ObjectKind, str], int] = {}
         self._lid_keys: dict[ObjectKind, list[tuple[ObjectKind, str]]] = {
@@ -58,28 +58,29 @@ class RankStore:
         original LID; the same name with a different payload is an error.
         """
         record = encode_record(kind, full_name, payload)
-        return self._add(NameRecord(full_name, self.rank, record))
+        return self._add(name_record(full_name, self.rank, record))
 
-    def define_record(self, obj: NameRecord) -> int:
+    def define_record(self, obj: tuple) -> int:
         """Add a gathered definition, its name already read, and return its LID.
 
         Its payload is checked but not built, and ``obj`` itself is stored:
         records encode canonically, so redefinition behaves as in :meth:`define`.
         """
-        check_payload(obj.payload_ref, len(obj.key) + 4)
+        check_payload(obj[2], len(obj[3]) + 4)
         return self._add(obj)
 
-    def _add(self, obj: NameRecord) -> int:
+    def _add(self, obj: tuple) -> int:
         if self.finalized:
             raise AlreadyFinalized(f"rank {self.rank} left define mode")
+        full_name, _, record, name_key = obj
         # the kind as a plain int: an (int, str) key holds nothing the
         # collector tracks, and it equals and hashes as (ObjectKind, str)
-        key = (obj.key[0], obj.full_name)
+        key = (name_key[0], full_name)
         existing = self._by_key.get(key)
         if existing is not None:
-            if existing.payload_ref != obj.payload_ref:
+            if existing[2] != record:
                 raise LocalNameConflict(
-                    f"rank {self.rank}: {obj.full_name!r} redefined with different metadata"
+                    f"rank {self.rank}: {full_name!r} redefined with different metadata"
                 )
             return self._lids[key]
         self.objects.append(obj)
@@ -93,7 +94,7 @@ class RankStore:
         return lid
 
     def serialized_bytes(self) -> int:
-        return sum(len(o.payload_ref) for o in self.objects)
+        return sum(len(o[2]) for o in self.objects)
 
     def finalize_gids(self, gids: dict[tuple[ObjectKind, str], int]) -> None:
         """Bind every local object to its file-order GID; ends define mode.

@@ -43,9 +43,9 @@ from .classic import (
 )
 from .comm import SimComm, run_ranks
 from .consistency import (
-    NameRecord,
     hash_check,
     make_name_records,
+    name_record,
     sort_check,
 )
 from .errors import (
@@ -199,11 +199,11 @@ class RankContext:
         self.acquire(sum(len(g) for g in gathered))
         return gathered
 
-    def gather_records(self, own: list[NameRecord]) -> list[NameRecord]:
-        """Every rank's records as check input, rank-major.  This rank sends
-        the bytes of its ``own`` and takes them back as they are, so only
-        its peers' records are parsed."""
-        gathered = self.gather(pack_stream([o.payload_ref for o in own]))
+    def gather_records(self, own: list[tuple]) -> list[tuple]:
+        """Every rank's name records as check input, rank-major.  This rank
+        sends the bytes of its ``own`` and takes them back as they are, so
+        only its peers' records are parsed."""
+        gathered = self.gather(pack_stream([o[2] for o in own]))
         peers = [[] if r == self.rank else unpack_stream(g) for r, g in enumerate(gathered)]
         records = make_name_records(peers)
         at = sum(map(len, peers[: self.rank]))
@@ -231,23 +231,23 @@ class RankContext:
 # --- shared classic-format machinery -----------------------------------------
 
 
-def merge_records(name_records) -> list[NameRecord]:
+def merge_records(name_records) -> list[tuple]:
     """Deduplicate gathered records into the file order: the first record of
     each name.
 
     Objects are ordered per kind by (rank of first definer, creation index);
     a shared object keeps its lowest-rank definer's position.
     """
-    firsts: dict[bytes, NameRecord] = {}
+    firsts: dict[bytes, tuple] = {}
     for rec in name_records:
-        firsts.setdefault(rec.key, rec)
+        firsts.setdefault(rec[3], rec)
     return list(firsts.values())
 
 
 def file_gids(merged) -> dict:
     """(kind, full name) -> GID of every merged record: its per-kind index.
     The kind is the record's int kind byte, which equals its ObjectKind."""
-    return add_gids({}, ((r.key[0], r.full_name) for r in merged))
+    return add_gids({}, ((r[3][0], r[0]) for r in merged))
 
 
 def build_classic_header(defs, path: str = "") -> Header:
@@ -318,7 +318,7 @@ def _app_body(ctx: RankContext, defs, hash_size: int) -> None:
         store.finalize_gids(file_gids(merged))
     with ctx.phase("header_write"):
         # the store holds every merged object, in file order
-        _write_classic_root(ctx, (o.payload_ref for o in store.objects))
+        _write_classic_root(ctx, (o[2] for o in store.objects))
 
 
 def _lib_body(ctx: RankContext, defs, hash_size: int) -> None:
@@ -336,7 +336,7 @@ def _lib_body(ctx: RankContext, defs, hash_size: int) -> None:
     with ctx.phase("header_write"):
         merged = merge_records(records)
         store.finalize_gids(file_gids(merged))
-        _write_classic_root(ctx, (rec.payload_ref for rec in merged))
+        _write_classic_root(ctx, (rec[2] for rec in merged))
 
 
 # One block-facts entry: size, n_dims, n_vars, n_atts, data bytes, then the path.
@@ -351,9 +351,9 @@ def _new_body(ctx: RankContext, defs, hash_size: int) -> None:
         for d in defs:
             store.define(d.kind, d.full_name, d.payload)
         ctx.acquire(store.serialized_bytes())
-        own_blocks: dict[str, list[NameRecord]] = {}
+        own_blocks: dict[str, list[tuple]] = {}
         for obj in store.objects:
-            path, _ = split_full_name(obj.full_name)
+            path, _ = split_full_name(obj[0])
             own_blocks.setdefault(path, []).append(obj)
 
     with ctx.phase("exchange"):
@@ -366,7 +366,7 @@ def _new_body(ctx: RankContext, defs, hash_size: int) -> None:
         own_facts = []
         for p, objs in own_blocks.items():
             try:
-                lists[p] = block_lists(p, (o.payload_ref for o in objs))
+                lists[p] = block_lists(p, (o[2] for o in objs))
             except DanglingDimRef as exc:
                 unresolved[p] = exc
             facts = lists[p].facts if p in lists else (0, 0, 0, 0, 0)
@@ -388,18 +388,18 @@ def _new_body(ctx: RankContext, defs, hash_size: int) -> None:
                 path = entry[_FACTS.size :].decode("ascii")
                 claims.setdefault(path, []).append(peer)
                 facts.setdefault(path, _FACTS.unpack_from(entry))
-                block_names.append(NameRecord(path, peer, b"\xff"))
+                block_names.append(name_record(path, peer, b"\xff"))
         block_report = hash_check(block_names, hash_size)
         ctx.checked(block_report)
-        shared_paths = {g[0].full_name for g in block_report.shared_sets}
+        shared_paths = {g[0][0] for g in block_report.shared_sets}
 
         shared_records = ctx.gather_records(
             [o for p in sorted(own_blocks) if p in shared_paths for o in own_blocks[p]]
         )
         ctx.checked(hash_check(shared_records, hash_size))
-        merged_shared: dict[str, list[NameRecord]] = {p: [] for p in shared_paths}
+        merged_shared: dict[str, list[tuple]] = {p: [] for p in shared_paths}
         for rec in merge_records(shared_records):
-            path, _ = split_full_name(rec.full_name)
+            path, _ = split_full_name(rec[0])
             merged_shared[path].append(rec)
 
     with ctx.phase("header_write"):
@@ -407,8 +407,8 @@ def _new_body(ctx: RankContext, defs, hash_size: int) -> None:
         # they are this rank's own records in its own order.
         for path in sorted(claims):
             if path in shared_paths:
-                merged = [rec.payload_ref for rec in merged_shared[path]]
-                own = [o.payload_ref for o in own_blocks.get(path, ())]
+                merged = [rec[2] for rec in merged_shared[path]]
+                own = [o[2] for o in own_blocks.get(path, ())]
                 if path in unresolved or merged != own:
                     lists[path] = block_lists(path, merged)
                 facts[path] = lists[path].facts
@@ -446,7 +446,7 @@ def _new_body(ctx: RankContext, defs, hash_size: int) -> None:
         bases = gid_bases(table.entries)
         gids: dict = {}
         for path, recs in {**own_blocks, **merged_shared}.items():
-            add_gids(gids, ((r.key[0], r.full_name) for r in recs), bases[path])
+            add_gids(gids, ((r[3][0], r[0]) for r in recs), bases[path])
         store.finalize_gids(gids)
 
 

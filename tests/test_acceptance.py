@@ -15,7 +15,7 @@ import time
 import pytest
 
 from parahead.classic import decode_classic, encode_classic
-from parahead.consistency import NameRecord, hash_check, model_hash_cost, sort_check
+from parahead.consistency import hash_check, model_hash_cost, name_record, sort_check
 from parahead.errors import ConsistencyError
 from parahead.newformat import (
     MetadataBlock,
@@ -161,7 +161,7 @@ def test_criterion_04_hash_cost_model_fidelity():
         for name in names:
             raw_name = name.encode()
             rec = b"\x01" + struct.pack(">I", len(raw_name)) + raw_name + b"\x00" * 8
-            records.append(NameRecord(name, 0, rec))
+            records.append(name_record(name, 0, rec))
         measured.append(hash_check(records, k).string_comparisons)
     mean = sum(measured) / len(measured)
     assert abs(mean - expected) / expected < 0.25
@@ -342,8 +342,8 @@ def test_criterion_10_id_mapping():
 
     # end-define: the strategies' merge rule produces the shared global order
     gathered = [
-        [o.payload_ref for o in rank0.objects],
-        [o.payload_ref for o in rank1.objects],
+        [o[2] for o in rank0.objects],
+        [o[2] for o in rank1.objects],
     ]
     order = file_gids(merge_records(make_name_records(gathered)))
     rank0.finalize_gids(order)

@@ -9,19 +9,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from parahead.classic import TypeTag
+from parahead.classic import AttributeDef, TypeTag
 from parahead.consistency import (
     CheckReport,
-    NameRecord,
     _resolve_groups,
     compare_shared,
     hash_check,
     hash_slot,
     model_hash_cost,
     model_newformat_cost,
+    name_record,
     sort_check,
 )
 from parahead.records import (
+    AttPayload,
     DimPayload,
     ObjectKind,
     VarPayload,
@@ -29,14 +30,14 @@ from parahead.records import (
 )
 
 
-def rec(name: str, rank: int, payload=None) -> NameRecord:
+def rec(name: str, rank: int, payload=None) -> tuple:
     payload = payload if payload is not None else DimPayload(1)
     raw = encode_record(
         ObjectKind.DIMENSION if isinstance(payload, DimPayload) else ObjectKind.VARIABLE,
         name,
         payload,
     )
-    return NameRecord(name, rank, raw)
+    return name_record(name, rank, raw)
 
 
 def test_single_slot_arithmetic_series():
@@ -53,8 +54,8 @@ def test_shared_objects_grouped():
     assert report.conflicts == ()
     assert len(report.shared_sets) == 1
     group = report.shared_sets[0]
-    assert {r.origin_rank for r in group} == {0, 1}
-    assert group[0].full_name == "t"
+    assert {r[1] for r in group} == {0, 1}
+    assert group[0][0] == "t"
 
 
 def test_conflicting_payloads_reported():
@@ -82,7 +83,7 @@ def test_sort_adjacent_duplicates():
     records = [rec("a", 0), rec("a", 1), rec("b", 2)]
     report = sort_check(records)
     assert len(report.shared_sets) == 1
-    assert report.shared_sets[0][0].full_name == "a"
+    assert report.shared_sets[0][0][0] == "a"
     assert report.conflicts == ()
 
 
@@ -124,21 +125,21 @@ def brute_force_groups(records):
     """Direct duplicate grouping: the oracle both detectors must match."""
     by_key: dict = {}
     for r in records:
-        by_key.setdefault((r.payload_ref[0], r.full_name), []).append(r)
+        by_key.setdefault((r[2][0], r[0]), []).append(r)
     shared, conflicts = set(), set()
     for (_, name), group in by_key.items():
         if len(group) < 2:
             continue
-        if all(g.payload_ref == group[0].payload_ref for g in group[1:]):
-            shared.add((name, tuple(sorted(r.origin_rank for r in group))))
+        if all(g[2] == group[0][2] for g in group[1:]):
+            shared.add((name, tuple(sorted(r[1] for r in group))))
         else:
-            conflicts.add((name, tuple(sorted({r.origin_rank for r in group}))))
+            conflicts.add((name, tuple(sorted({r[1] for r in group}))))
     return shared, conflicts
 
 
 def as_sets(report):
     shared = {
-        (g[0].full_name, tuple(sorted(r.origin_rank for r in g)))
+        (g[0][0], tuple(sorted(r[1] for r in g)))
         for g in report.shared_sets
     }
     conflicts = {(c.full_name, c.ranks) for c in report.conflicts}
@@ -174,15 +175,15 @@ def dense_hash_check(records, k: int) -> CheckReport:
     group_keys: list = []
     string_comparisons = 0
     for r in records:
-        chain = table[hash_slot(r.key, k)]
+        chain = table[hash_slot(r[3], k)]
         for gi in chain:
             string_comparisons += 1
-            if group_keys[gi] == r.key:
+            if group_keys[gi] == r[3]:
                 groups[gi].append(r)
                 break
         else:
             chain.append(len(groups))
-            group_keys.append(r.key)
+            group_keys.append(r[3])
             groups.append([r])
     shared, conflicts, payload_comparisons = _resolve_groups(groups)
     return CheckReport(shared, conflicts, string_comparisons, payload_comparisons)
@@ -273,6 +274,22 @@ def test_compare_serialization_deterministic():
     a = encode_record(ObjectKind.VARIABLE, "w", payload)
     b = encode_record(ObjectKind.VARIABLE, "w", payload)
     assert a == b and compare_shared(a, b) is None
+
+
+def test_compare_names_the_field_of_a_signed_zero():
+    # 0.0 == -0.0 in Python, but the records differ: the field is named
+    for kind, name, payloads, field in (
+        (ObjectKind.ATTRIBUTE, "b/x", [AttPayload(TypeTag.DOUBLE, (v,)) for v in (0.0, -0.0)],
+         "values"),
+        (ObjectKind.VARIABLE, "b/v",
+         [VarPayload(TypeTag.INT, (), (AttributeDef("u", TypeTag.FLOAT, (v,)),))
+          for v in (0.0, -0.0)], "attributes"),
+    ):
+        a, b = (encode_record(kind, name, p) for p in payloads)
+        mismatch = compare_shared(a, b)
+        assert mismatch is not None and mismatch.field == field
+        [conflict] = hash_check([name_record(name, 0, a), name_record(name, 1, b)], 8).conflicts
+        assert conflict.mismatch == mismatch and "full_name" not in str(conflict)
 
 
 def test_compare_kind_mismatch():

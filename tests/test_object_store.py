@@ -124,7 +124,7 @@ def test_serialized_bytes_tracks_records():
     store = RankStore(0)
     store.define(DIM, "x", DimPayload(10))
     store.define(VAR, "a", v("x"))
-    assert store.serialized_bytes() == sum(len(o.payload_ref) for o in store.objects) > 0
+    assert store.serialized_bytes() == sum(len(o[2]) for o in store.objects) > 0
 
 
 def test_define_record_matches_define():
@@ -132,11 +132,11 @@ def test_define_record_matches_define():
     by_payload.define(DIM, "x", DimPayload(10))
     by_payload.define(VAR, "a", v("x"))
     for obj in by_payload.objects:
-        record = bytes(bytearray(obj.payload_ref))  # a new object: the store keeps this one
+        record = bytes(bytearray(obj[2]))  # a new object: the store keeps this one
         [named] = make_name_records([[record]])
-        lid = by_payload.inquire(KINDS[obj.key[0]], obj.full_name)
+        lid = by_payload.inquire(KINDS[obj[3][0]], obj[0])
         assert by_record.define_record(named) == lid
-        assert by_record.objects[-1].payload_ref is record
+        assert by_record.objects[-1][2] is record
         assert by_record.objects[-1] is named
     assert by_record.objects == by_payload.objects
 

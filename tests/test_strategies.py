@@ -398,6 +398,45 @@ def test_gid_and_store_keys_are_untracked_after_a_collection():
     assert store.gid_of(d.kind, store.inquire(d.kind, d.full_name)) == gids[(d.kind, d.full_name)]
 
 
+def test_gathered_and_stored_records_are_untracked_after_a_collection(monkeypatch):
+    import gc
+
+    from parahead import strategies
+    from parahead.consistency import make_name_records
+    from parahead.store import RankStore
+
+    workload = gen_workload(small_spec(shared_fraction=0.1, seed=3))
+    made = make_name_records(
+        [[encode_record(d.kind, d.full_name, d.payload) for d in defs]
+         for defs in workload.per_rank]
+    )
+    defined, gathered = RankStore(0), RankStore(0)
+    for d in workload.per_rank[0]:
+        defined.define(d.kind, d.full_name, d.payload)
+    for rec in strategies.merge_records(made):
+        gathered.define_record(rec)
+    # every list a check reads: lib's gather_records output, and new_format's
+    # store objects, block names and gathered shared records
+    checked = []
+    real = strategies.hash_check
+
+    def recording(records, k):
+        checked.append(records)
+        return real(records, k)
+
+    monkeypatch.setattr(strategies, "hash_check", recording)
+    run_lib_baseline(workload, 64, "hash")
+    run_new_format(workload, 64)
+    block_names = [r for recs in checked for r in recs if r[2] == b"\xff"]
+    assert len(block_names) >= workload.nranks
+    lists = [made, defined.objects, gathered.objects, *checked]
+    assert all(lists) and len(checked) == workload.nranks * 4
+    gc.collect()
+    for records in lists:
+        assert all(type(r) is tuple for r in records)
+        assert not any(gc.is_tracked(r) for r in records)
+
+
 def test_new_format_memory_beats_baseline():
     workload = gen_workload(small_spec(total_vars=200, total_dims=300, seed=2))
     new = run_new_format(workload, 64)
