@@ -12,6 +12,8 @@ profile's 16,384-slot table.
 ``test_full_collection_with_gathered_records`` times one full cyclic-GC
 collection while one ``shared-blocks-p4`` rank's gathered records are alive:
 the cost a collection charges to whichever rank thread triggers it.
+``test_hash_check_shared`` checks those 12,800 records, 640 of whose names
+are defined on every rank, in the same 16,384-slot table.
 """
 
 from __future__ import annotations
@@ -88,3 +90,9 @@ def test_sort_check(benchmark, name_records):
     report = benchmark(sort_check, name_records)
     assert report.shared_sets == () and report.conflicts == ()
     assert report.payload_comparisons == 0
+
+
+def test_hash_check_shared(benchmark, shared_gathered):
+    report = benchmark(hash_check, shared_gathered, K)
+    assert len(report.shared_sets) == 640 and report.conflicts == ()
+    assert report.payload_comparisons == 640 * 3

@@ -4,8 +4,10 @@ Two interchangeable detectors are provided.  ``hash_check`` inserts every
 record into a k-slot chained hash table and compares the key string against
 each slot occupant, the scheme in-library lookups use; with n records and k
 slots it performs about n*n/2k string comparisons (``model_hash_cost``).
-Only slots that are hit are ever made, so a call costs O(n) whatever k is;
+Only slots that are hit get an entry, so a call costs O(n) whatever k is;
 the comparisons, and hence the cost model, are those of the full table.
+Chains are linked through ints: a check keeps no container per slot for
+the cyclic collector to scan and promote.
 ``sort_check`` instead orders the whole record list once and groups equal
 keys from adjacent runs.  It sorts by the 32-bit CRC of the key, falling
 back to the key string only on CRC ties, so the string comparisons it must
@@ -122,12 +124,15 @@ def hash_check(records, k: int) -> CheckReport:
 
     Each insertion compares the record's key against the slot's occupants in
     arrival order until a match is found; every such comparison is counted.
-    A slot's chain is made on its first hit, so empty slots cost nothing,
-    and a name seen once never gets a group of its own.
+    Only hit slots have an entry, so empty slots cost nothing.  A chain is
+    linked through ints, the slot's first group and each group's next one,
+    so it holds nothing the collector scans, and a name seen once never
+    gets a group of its own.
     """
     if k < 1:
         raise ValueError("hash table needs at least one slot")
-    table: dict[int, list[int]] = {}
+    table: dict[int, int] = {}  # hit slot -> its first group
+    nxt: list[int] = []  # group -> the next group in its slot, -1 at the end
     group_keys: list[bytes] = []
     firsts: list[tuple] = []
     repeats: dict[int, list[tuple]] = {}  # later members of groups of two or more
@@ -135,16 +140,20 @@ def hash_check(records, k: int) -> CheckReport:
     for rec in records:
         key = rec[3]
         slot = hash_slot(key, k)
-        chain = table.get(slot)
-        if chain is None:
-            chain = table[slot] = []
-        for gi in chain:
+        gi = table.get(slot, -1)
+        last = -1
+        while gi >= 0:
             string_comparisons += 1
             if group_keys[gi] == key:
                 repeats.setdefault(gi, []).append(rec)
                 break
+            last, gi = gi, nxt[gi]
         else:
-            chain.append(len(group_keys))
+            if last < 0:
+                table[slot] = len(group_keys)
+            else:
+                nxt[last] = len(group_keys)
+            nxt.append(-1)
             group_keys.append(key)
             firsts.append(rec)
     groups = [[firsts[gi], *repeats[gi]] for gi in sorted(repeats)]

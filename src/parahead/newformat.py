@@ -300,17 +300,18 @@ def decode_image(buf: bytes) -> tuple[IndexTable, dict[str, MetadataBlock]]:
     return table, blocks
 
 
-def gid_bases(entries) -> dict[str, dict[ObjectKind, int]]:
-    """Per block path, the GID of its first object of each kind.
+def gid_bases(entries) -> dict[str, dict[int, int]]:
+    """Per block path, the GID of its first object of each kind, keyed by the
+    kind's int, which equals and hashes as its ObjectKind; an ObjectKind key
+    would make the collector track every one of these dicts.
 
     GIDs are per-kind indices in file order, so a block's bases are the
     index counts of the blocks before it: no block needs to be read.
     """
     bases = {}
-    running = {k: 0 for k in ObjectKind}
+    running = dict.fromkeys(map(int, ObjectKind), 0)
     for e in entries:
         bases[e.block_path] = dict(running)
-        running[ObjectKind.DIMENSION] += e.n_dims
-        running[ObjectKind.VARIABLE] += e.n_vars
-        running[ObjectKind.ATTRIBUTE] += e.n_atts
+        for kind, n in zip(running, (e.n_dims, e.n_vars, e.n_atts)):
+            running[kind] += n
     return bases

@@ -171,7 +171,7 @@ def _read_typed_values(buf: bytes, pos: int, end: int) -> tuple[TypeTag, tuple |
     return type_tag, struct.unpack_from(f">{nelems}{fmt}", buf, pos), stop
 
 
-def _read_var_head(buf: bytes, pos: int, end: int) -> tuple[tuple, list[str], int, int]:
+def _read_var_head(buf: bytes, pos: int, end: int) -> tuple[tuple, tuple[str, ...], int, int]:
     """Variable payload at ``pos`` up to its attributes: its ``TYPES`` entry,
     its dimension names, its attribute count and the offset of the first one."""
     if pos + 8 > end:
@@ -187,7 +187,7 @@ def _read_var_head(buf: bytes, pos: int, end: int) -> tuple[tuple, list[str], in
         dim_names.append(dim_name)
     if pos + 4 > end:
         raise Truncated(f"record needs an attribute count at offset {pos}")
-    return entry, dim_names, _U32.unpack_from(buf, pos)[0], pos + 4
+    return entry, tuple(dim_names), _U32.unpack_from(buf, pos)[0], pos + 4
 
 
 def decode_record(buf: bytes) -> tuple[ObjectKind, str, Payload]:
@@ -219,7 +219,7 @@ def decode_record(buf: bytes) -> tuple[ObjectKind, str, Payload]:
             att_name, pos = _read_name(buf, pos, end)
             att_tag, values, pos = _read_typed_values(buf, pos, end)
             atts.append(AttributeDef(att_name, att_tag, values))
-        payload = VarPayload(entry[0], tuple(dim_names), tuple(atts))
+        payload = VarPayload(entry[0], dim_names, tuple(atts))
     if pos != end:
         raise CorruptHeader(f"{end - pos} bytes left over after the record")
     return kind, full_name, payload
@@ -274,7 +274,7 @@ class RecordLists(NamedTuple):
 
     facts: tuple[int, int, int, int, int]
     parts: list[bytes]
-    tails: list[tuple[int, int, int]]  # per variable: index in parts, type tag, vsize
+    tails: tuple[tuple[int, int, int], ...]  # per variable: index in parts, int tag, vsize
     version: int
 
     def place(self, begin: int) -> bytes:
@@ -340,7 +340,7 @@ def record_lists(records, head: bytes, cut: int = 0, version: int = 5) -> Record
     lengths: list[int] = []
     gatt_names: set[str] = set()
     var_names: set[str] = set()
-    pending = []  # per variable: name, name record, TYPES entry, dim names, attributes
+    pending = []  # per variable: name, name record, int tag, item size, dim names, attributes
     for rec in records:
         end = len(rec)
         if end < 1:
@@ -385,7 +385,7 @@ def record_lists(records, head: bytes, cut: int = 0, version: int = 5) -> Record
             var_names.add(name)
             if narrow and entry[0] is TypeTag.INT64:
                 raise UnrepresentableValue(f"type {entry[0].name} needs format version 5")
-            pending.append((name, name_rec, entry, dim_names, b"".join(atts)))
+            pending.append((name, name_rec, int(entry[0]), entry[1], dim_names, b"".join(atts)))
 
     parts = [head, _list_head(pair, TAG_DIMENSIONS, len(lengths), cmax, "dimension")]
     parts += dims
@@ -394,7 +394,7 @@ def record_lists(records, head: bytes, cut: int = 0, version: int = 5) -> Record
     parts.append(_list_head(pair, TAG_VARIABLES, len(pending), cmax, "variable"))
     tails = []
     data = 0
-    for name, name_rec, (type_tag, size, _), dim_names, atts in pending:
+    for name, name_rec, type_tag, size, dim_names, atts in pending:
         refs = []
         for dim_name in dim_names:
             ref = dim_ids.get(dim_name)
@@ -413,7 +413,7 @@ def record_lists(records, head: bytes, cut: int = 0, version: int = 5) -> Record
         data += size
     nbytes = sum(map(len, parts)) + len(tails) * tail.size
     facts = (nbytes, len(lengths), len(pending), len(gatt_names), data)
-    return RecordLists(facts, parts, tails, version)
+    return RecordLists(facts, parts, tuple(tails), version)
 
 
 def classic_from_records(records) -> bytes:

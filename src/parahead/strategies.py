@@ -380,13 +380,13 @@ def _new_body(ctx: RankContext, defs, hash_size: int) -> None:
         # the records its store already holds
         ctx.checked(hash_check(store.objects, hash_size))
 
-        claims: dict[str, list[int]] = {}
+        owners: dict[str, int] = {}  # path -> its lowest claiming rank, which writes it
         facts: dict[str, tuple[int, int, int, int, int]] = {}
         block_names = []
         for peer, raw in enumerate(gathered_facts):
             for entry in unpack_stream(raw):
                 path = entry[_FACTS.size :].decode("ascii")
-                claims.setdefault(path, []).append(peer)
+                owners.setdefault(path, peer)
                 facts.setdefault(path, _FACTS.unpack_from(entry))
                 block_names.append(name_record(path, peer, b"\xff"))
         block_report = hash_check(block_names, hash_size)
@@ -405,7 +405,7 @@ def _new_body(ctx: RankContext, defs, hash_size: int) -> None:
     with ctx.phase("header_write"):
         # A shared block is made again from its merged records, unless
         # they are this rank's own records in its own order.
-        for path in sorted(claims):
+        for path in sorted(owners):
             if path in shared_paths:
                 merged = [rec[2] for rec in merged_shared[path]]
                 own = [o[2] for o in own_blocks.get(path, ())]
@@ -421,12 +421,12 @@ def _new_body(ctx: RankContext, defs, hash_size: int) -> None:
         mine = []
         data_cursor = table.header_reserve
         for entry in table.entries:
-            if min(claims[entry.block_path]) == ctx.rank:
+            if owners[entry.block_path] == ctx.rank:
                 mine.append((entry, data_cursor))
             data_cursor += facts[entry.block_path][4]
         # the layout has used the gathered facts: drop them before the index
         ctx.release(sum(map(len, gathered_facts)))
-        del gathered_facts, claims, facts, block_names, block_report
+        del gathered_facts, owners, facts, block_names, block_report
 
         # only rank 0 writes the index, so only it encodes one; every rank
         # holds a replicated copy of that size

@@ -3,6 +3,7 @@ time-limited rank runner."""
 
 from __future__ import annotations
 
+import gc
 import random
 import struct
 import threading
@@ -45,6 +46,30 @@ def block_records(block) -> list[bytes]:
         encode_record(kind, name, payload)
         for (kind, name), payload in logical_map_from_classic(flatten_blocks([block])).items()
     ]
+
+
+def tracked_growth(consume, items: list, at: int) -> int:
+    """How many more objects the collector tracks once ``consume`` has taken
+    ``at`` of ``items`` from an iterator than before it started.  A pass that
+    keeps a container per item grows with ``at``.  Each count follows two
+    full collections: a tuple of tuples is dropped from the scans one level
+    per collection."""
+    counts = []
+
+    def count() -> None:
+        gc.collect()
+        gc.collect()
+        counts.append(len(gc.get_objects()))
+
+    def feed():
+        yield from items[:at]
+        count()
+        yield from items[at:]
+
+    fed = feed()
+    count()
+    consume(fed)
+    return counts[1] - counts[0]
 
 
 def random_values(rng: random.Random, type_tag: TypeTag):

@@ -47,7 +47,7 @@ from parahead.records import (
 )
 from parahead.strategies import build_classic_header, logical_map_from_classic
 
-from conftest import block_records, random_header
+from conftest import block_records, random_header, tracked_growth
 from reference import encode_block, encode_classic
 from test_list_codec import (
     any_headers,
@@ -236,6 +236,14 @@ def test_block_writer_equals_the_pipeline_on_valid_blocks(data, path, content):
     data_bytes = sum(v.vsize for v in c.vars)
     assert lists.facts == (len(raw), len(c.dims), len(c.vars), len(c.global_atts), data_bytes)
     assert lists.place(start) == raw
+
+
+def test_list_writer_keeps_nothing_tracked_per_variable():
+    # at the end of its records the writer holds one entry per variable
+    # still to place: a dimension-name list or a TypeTag in it stays tracked
+    records = [_rec(DIM, "b/d", DimPayload(3))]
+    records += [_rec(VAR, f"b/v{i:04d}", VarPayload(TypeTag.INT, ("b/d",))) for i in range(5000)]
+    assert tracked_growth(lambda it: block_lists("b", it), records, len(records)) < 50
 
 
 def test_mutated_block_records_raise_only_parahead_errors():

@@ -29,6 +29,8 @@ from parahead.records import (
     encode_record,
 )
 
+from conftest import tracked_growth
+
 
 def rec(name: str, rank: int, payload=None) -> tuple:
     payload = payload if payload is not None else DimPayload(1)
@@ -112,6 +114,16 @@ def test_hash_counter_deterministic_given_order(rng):
     b = hash_check(list(records), 64)
     assert a.string_comparisons == b.string_comparisons
     assert a.payload_comparisons == b.payload_comparisons
+
+
+def test_hash_chains_keep_no_container_per_slot():
+    # 5,000 unique names over 65,536 slots hit about as many slots: halfway
+    # through, a container per hit slot would be thousands more tracked objects
+    records = [rec(f"v{i:05d}", i % 4) for i in range(5000)]
+    reports = []
+    grown = tracked_growth(lambda it: reports.append(hash_check(it, 1 << 16)), records, 2500)
+    assert grown < 50
+    assert reports[0].shared_sets == () and reports[0].string_comparisons < 500
 
 
 def test_sort_counter_deterministic_given_multiset(rng):

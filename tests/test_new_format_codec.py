@@ -30,10 +30,12 @@ from parahead.newformat import (
     decode_index_table,
     encode_block,
     encode_index_table,
+    gid_bases,
     index_table_encoded_size,
     layout_from_stats,
     split_full_name,
 )
+from parahead.records import ObjectKind
 from parahead.strategies import (
     flatten_blocks,
     logical_map_from_classic,
@@ -318,6 +320,24 @@ def test_layout_counts_filled(rng):
             len(content.vars),
             len(content.global_atts),
         )
+
+
+def test_gid_bases_and_block_tails_leave_the_collectors_scans(rng):
+    import gc
+
+    table = layout_from_stats([("a", 100, 2, 1, 3), ("b", 60, 1, 4, 0), ("c", 8, 0, 0, 0)])
+    bases = gid_bases(table.entries)
+    block = random_blocks(rng, 1)[0]
+    while not block.content.vars:
+        block = random_blocks(rng, 1)[0]
+    lists = block_lists(block.block_path, block_records(block))
+    gc.collect()
+    assert not any(gc.is_tracked(b) for b in bases.values())
+    gc.collect()  # the tails' items went at the first, the tails at the second
+    assert not gc.is_tracked(lists.tails) and len(lists.tails) == len(block.content.vars)
+    # the int kinds look up as ObjectKinds
+    assert [bases[p][ObjectKind.VARIABLE] for p in "abc"] == [0, 1, 5]
+    assert [bases[p][ObjectKind.ATTRIBUTE] for p in "abc"] == [0, 3, 3]
 
 
 # --- full image ------------------------------------------------------------------
