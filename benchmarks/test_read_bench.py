@@ -31,6 +31,21 @@ def test_open_and_one_lookup(benchmark, image_512, blocks_512):
     assert handle.blocks_loaded == 1
 
 
+def test_lookup_in_each_block(benchmark, shared_blocks):
+    """A fresh handle and one lookup in each block of shared-blocks-p4's
+    objects: the lazy path ``open_new_s`` runs, over every block."""
+    image = assemble_image(shared_blocks)
+    names = [f"{b.block_path}/{b.content.vars[0].name}" for b in shared_blocks]
+
+    def lookups():
+        handle = open_new_format(image)[0]
+        for name in names:
+            handle.lookup(ObjectKind.VARIABLE, name)
+        return handle
+
+    assert benchmark(lookups).blocks_loaded == len(shared_blocks)
+
+
 def test_read_full_header(benchmark, shared_header, shared_blocks):
     """Open plus a full read of every block of shared-blocks-p4's objects."""
     image = assemble_image(shared_blocks)

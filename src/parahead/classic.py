@@ -253,19 +253,19 @@ def _read_list_head(
 
 
 def _read_att_list(
-    buf: bytes, pos: int, end: int, version: int, owner: str | None
-) -> tuple[tuple[AttributeDef, ...], int]:
+    buf: bytes, pos: int, end: int, version: int, owner: str | None, make=AttributeDef
+) -> tuple[list, dict, int]:
     cnt, pair, _, _, _, _ = _WIDTHS[version]
     n, pos = _read_list_head(
         buf, pos, end, pair, TAG_ATTRIBUTES, 2 * cnt.size + 4, "attribute"
     )
     atts = []
-    seen = set()
+    seen = {}
     for _ in range(n):
         name, pos = _read_name(buf, pos, end, cnt)
         if name in seen:
             raise DuplicateName(_owned("attribute", name, owner))
-        seen.add(name)
+        seen[name] = None
         if pos + pair.size > end:
             raise Truncated(f"need an attribute type and count at offset {pos}")
         tag, nelems = pair.unpack_from(buf, pos)
@@ -286,13 +286,18 @@ def _read_att_list(
             values = struct.unpack_from(f">{nelems}{code}", buf, pos)
         else:
             raise CorruptHeader(f"numeric {_owned('attribute', name, owner)} has no values")
-        atts.append(AttributeDef(name, type_tag, values))
+        atts.append(make(name, type_tag, values))
         pos = stop + len(pad)
-    return tuple(atts), pos
+    return atts, seen, pos
 
 
-def decode_header_lists(buf: bytes, version: int, pos: int = 0) -> tuple[Header, int]:
-    """Parse the three object lists starting at ``pos``; returns (header, end).
+def decode_header_lists(
+    buf: bytes, version: int, pos: int = 0, dim=DimensionDef, att=AttributeDef, var=VariableDef
+) -> tuple[tuple, tuple, tuple, tuple[str, ...], int]:
+    """Parse the three object lists at ``pos``: returns what ``dim(name, length)``,
+    ``att(name, type_tag, values)`` and ``var(name, dim_refs, type_tag,
+    attributes, begin, vsize)`` made of each object, in list order, the
+    objects' names in that order, and the end offset.
 
     One pass over offsets that makes every check of the encoder: every
     length is checked against the buffer before it is used (``Truncated``),
@@ -302,10 +307,11 @@ def decode_header_lists(buf: bytes, version: int, pos: int = 0) -> tuple[Header,
     cnt, pair, tail, code, _, _ = _WIDTHS[version]
     cw = cnt.size
     end = len(buf)
+    start = pos
     n, pos = _read_list_head(buf, pos, end, pair, TAG_DIMENSIONS, 2 * cw, "dimension")
     dims = []
     lengths = []
-    seen = set()
+    dim_names = {}
     for _ in range(n):
         name, pos = _read_name(buf, pos, end, cnt)
         if pos + cw > end:
@@ -314,24 +320,24 @@ def decode_header_lists(buf: bytes, version: int, pos: int = 0) -> tuple[Header,
         pos += cw
         if length < 1:
             raise UnsupportedFeature(f"dimension {name!r} has length {length}")
-        if name in seen:
+        if name in dim_names:
             raise DuplicateName(f"dimension {name!r}")
-        seen.add(name)
-        dims.append(DimensionDef(name, length))
+        dim_names[name] = None
+        dims.append(dim(name, length))
         lengths.append(length)
-    gatts, pos = _read_att_list(buf, pos, end, version, None)
+    gatts, gatt_names, pos = _read_att_list(buf, pos, end, version, None, att)
     n, pos = _read_list_head(
         buf, pos, end, pair, TAG_VARIABLES, 3 * cw + 4 + tail.size, "variable"
     )
     vars_ = []
-    seen = set()
+    var_names = {}
     last_end = 0
     ordered = True  # begins ascend without overlap, so no sort is needed
     for _ in range(n):
         name, pos = _read_name(buf, pos, end, cnt)
-        if name in seen:
+        if name in var_names:
             raise DuplicateName(f"variable {name!r}")
-        seen.add(name)
+        var_names[name] = None
         if pos + cw > end:
             raise Truncated(f"need a dimension id count at offset {pos}")
         ndims = cnt.unpack_from(buf, pos)[0]
@@ -345,7 +351,7 @@ def decode_header_lists(buf: bytes, version: int, pos: int = 0) -> tuple[Header,
             if ref >= len(lengths):
                 raise DanglingDimRef(f"variable {name!r} references dim {ref}")
             size *= lengths[ref]
-        atts, pos = _read_att_list(buf, pos, end, version, name)
+        atts, _, pos = _read_att_list(buf, pos, end, version, name)
         if pos + tail.size > end:
             raise Truncated(f"need a variable type, size and begin at offset {pos}")
         tag, vsize, begin = tail.unpack_from(buf, pos)
@@ -357,12 +363,12 @@ def decode_header_lists(buf: bytes, version: int, pos: int = 0) -> tuple[Header,
         size += -size & 3
         if vsize != size:
             raise CorruptHeader(f"variable {name!r} vsize {vsize}, expected {size}")
-        vars_.append(VariableDef(name, refs, entry[0], atts, begin, vsize))
+        vars_.append(var(name, refs, entry[0], tuple(atts), begin, vsize))
         ordered = ordered and begin >= last_end
         last_end = begin + vsize
-    if not ordered:
-        _check_regions(vars_)
-    return Header(tuple(dims), gatts, tuple(vars_)), pos
+    if not ordered:  # rare, as writers place data in id order; VariableDefs hold regions
+        _check_regions(vars_ if var is VariableDef else decode_header_lists(buf, version, start)[2])
+    return tuple(dims), tuple(gatts), tuple(vars_), (*dim_names, *gatt_names, *var_names), pos
 
 
 def decode_classic(buf: bytes) -> Header:
@@ -378,8 +384,7 @@ def decode_classic(buf: bytes) -> Header:
     numrecs = cnt.unpack_from(buf, 4)[0]
     if numrecs != 0:
         raise UnsupportedFeature(f"record count {numrecs} unsupported")
-    header, _ = decode_header_lists(buf, version, 4 + cnt.size)
-    return header
+    return Header(*decode_header_lists(buf, version, 4 + cnt.size)[:3])
 
 
 def fill_vsizes(header: Header) -> Header:

@@ -223,7 +223,10 @@ def block_lists(path: str, records) -> RecordLists:
     return record_lists(records, _pack_path(path), len(path) + 1 if path else 0)
 
 
-def decode_block(buf: bytes) -> MetadataBlock:
+def _read_block(buf: bytes, entry=None, *builders) -> tuple[str, tuple, tuple, tuple]:
+    """Path and object lists of block ``buf``, made by ``decode_header_lists``
+    with ``builders``, after every block check: the path, the lists, no bytes
+    after them, no ``/`` in a local name and an index ``entry``'s path and counts."""
     if len(buf) < 8:
         raise Truncated("block path length missing")
     (path_len,) = _U64.unpack_from(buf, 0)
@@ -231,11 +234,29 @@ def decode_block(buf: bytes) -> MetadataBlock:
     if len(buf) < lists:
         raise Truncated("block path cut short")
     path = _path_at(buf, 8, path_len, "block")
-    content, end = decode_header_lists(buf, _BLOCK_VERSION, lists)
+    dims, gatts, vars_, names, end = decode_header_lists(buf, _BLOCK_VERSION, lists, *builders)
     if end != len(buf):
         raise CorruptHeader(f"{len(buf) - end} bytes left over after the block's lists")
-    _check_local_names(content)
-    return MetadataBlock(path, content)
+    for name in names:
+        if "/" in name:
+            raise CorruptHeader(f"block-local name {name!r} contains '/'")
+    found = path, len(dims), len(vars_), len(gatts)
+    if entry is not None and found != (entry.block_path, entry.n_dims, entry.n_vars, entry.n_atts):
+        raise CorruptHeader(f"block (path, dims, vars, atts) {found} disagrees with {entry}")
+    return path, dims, gatts, vars_
+
+
+def decode_block(buf: bytes) -> MetadataBlock:
+    path, *lists = _read_block(buf)
+    return MetadataBlock(path, Header(*lists))
+
+
+def read_block(read, entry: IndexEntry, *builders) -> tuple[str, tuple, tuple, tuple]:
+    """``_read_block`` of block ``entry``, read through ``read``; errors name the block."""
+    try:
+        return _read_block(read(entry.offset, entry.size), entry, *builders)
+    except ParaheadError as exc:
+        raise type(exc)(f"block {entry.block_path!r}: {exc}") from exc
 
 
 def layout_from_stats(stats) -> IndexTable:
@@ -270,33 +291,14 @@ def assemble_image(blocks) -> bytes:
     return bytes(image)
 
 
-def check_block_entry(entry: IndexEntry, block: MetadataBlock) -> None:
-    """Raise CorruptHeader unless ``block`` has the path and counts ``entry`` declares."""
-    if block.block_path != entry.block_path:
-        raise CorruptHeader(
-            f"index names {entry.block_path!r} but block says {block.block_path!r}"
-        )
-    counts = (
-        len(block.content.dims),
-        len(block.content.vars),
-        len(block.content.global_atts),
-    )
-    if counts != (entry.n_dims, entry.n_vars, entry.n_atts):
-        raise CorruptHeader(f"object counts disagree for block {entry.block_path!r}")
-
-
 def decode_image(buf: bytes) -> tuple[IndexTable, dict[str, MetadataBlock]]:
     """Decode a full image and cross-check every entry against its block."""
     read = BytesSource(buf).read
     table = read_index_table(read)
-    blocks: dict[str, MetadataBlock] = {}
+    blocks = {}
     for entry in table.entries:
-        try:
-            block = decode_block(read(entry.offset, entry.size))
-        except ParaheadError as exc:
-            raise type(exc)(f"block {entry.block_path!r}: {exc}") from exc
-        check_block_entry(entry, block)
-        blocks[entry.block_path] = block
+        path, *lists = read_block(read, entry)
+        blocks[path] = MetadataBlock(path, Header(*lists))
     return table, blocks
 
 

@@ -17,7 +17,8 @@ the layout is made, before it charges its copy of the index.
 Objects move between blocks and the flat layout by full name only:
 ``flatten_blocks`` and ``partition_header`` (convert's mapping) take the
 ``(kind, full name) -> payload`` entries of ``_add_payloads``, group them by
-``split_full_name`` and build each group with ``build_classic_header``.
+``split_full_name`` and build each group with ``build_classic_header``.  The
+read path makes each block's entries straight from its bytes, with no Header.
 """
 
 from __future__ import annotations
@@ -53,7 +54,6 @@ from .errors import (
     DanglingDimRef,
     DuplicateName,
     NoSuchObject,
-    ParaheadError,
     Truncated,
     UnrepresentableValue,
 )
@@ -62,13 +62,13 @@ from .newformat import (
     IndexTable,
     MetadataBlock,
     block_lists,
-    check_block_entry,
-    decode_block,
+    decode_block,  # noqa: F401
     encode_block,  # noqa: F401
     encode_index_table,
     gid_bases,
     index_table_encoded_size,
     layout_from_stats,
+    read_block,
     read_index_table,
     split_full_name,
 )
@@ -88,6 +88,8 @@ from .store import RankStore, add_gids
 from .workload import Workload
 
 DEFAULT_HASH_SIZE = 16_384
+# the read path's keys hold the kind's int: equal to ObjectKind keys, and untracked
+_DIM, _VAR, _ATT = int(ObjectKind.DIMENSION), int(ObjectKind.VARIABLE), int(ObjectKind.ATTRIBUTE)
 
 PHASES = ("define", "exchange", "consistency_check", "header_write", "close_free")
 
@@ -540,7 +542,8 @@ class HeaderHandle:
     """Open partitioned-header file: index cached, blocks loaded on demand.
 
     A block is read and checked once, by the first lookup or full read that
-    needs it; its lookup map and GIDs are made from its content on first use.
+    needs it, into its (kind, full name) -> payload map, made by the list
+    walker's builders; its GIDs are made from that map on first use.
     """
 
     def __init__(self, source):
@@ -548,7 +551,6 @@ class HeaderHandle:
         self.io_bytes_read = 0
         self._table = read_index_table(self._take)
         self._entries = {e.block_path: e for e in self._table.entries}
-        self._contents: dict[str, Header] = {}
         self._maps: dict[str, dict] = {}
         self._gids: dict[str, dict] = {}
         self._gid_base = None  # per-block GID bases, made by the first gid_of
@@ -564,31 +566,32 @@ class HeaderHandle:
 
     @property
     def blocks_loaded(self) -> int:
-        return len(self._contents)
-
-    def _content(self, path: str) -> Header:
-        """Decoded content of block ``path``, read and checked on first use."""
-        content = self._contents.get(path)
-        if content is not None:
-            return content
-        entry = self._entries.get(path)
-        if entry is None:
-            raise NoSuchObject(f"no metadata block {path!r}")
-        try:
-            block = decode_block(self._take(entry.offset, entry.size))
-        except ParaheadError as exc:
-            raise type(exc)(f"block {path!r}: {exc}") from exc
-        check_block_entry(entry, block)
-        self._contents[path] = block.content
-        return block.content
+        return len(self._maps)
 
     def _load_block(self, path: str) -> dict:
         """(kind, full name) -> payload of every object in block ``path``."""
-        objects = self._maps.get(path)
-        if objects is None:
-            objects = _add_payloads({}, self._content(path), path)
-            self._maps[path] = objects
-        return objects
+        if path in self._maps:
+            return self._maps[path]
+        entry = self._entries.get(path)
+        if entry is None:
+            raise NoSuchObject(f"no metadata block {path!r}")
+        prefix = f"{path}/" if path else ""
+        out = {}
+        dims = []
+
+        def dim(name, length):
+            dims.append(prefix + name)
+            out[_DIM, dims[-1]] = DimPayload(length)
+
+        def att(name, tag, values):
+            out[_ATT, prefix + name] = AttPayload(tag, values)
+
+        def var(name, refs, tag, atts, begin, vsize):
+            out[_VAR, prefix + name] = VarPayload(tag, tuple(map(dims.__getitem__, refs)), atts)
+
+        read_block(self._take, entry, dim, att, var)
+        self._maps[path] = out
+        return out
 
     def lookup(self, kind: ObjectKind, full_name: str):
         """Payload of one object, loading (and caching) only its block."""
@@ -620,10 +623,10 @@ def open_new_format(image: bytes, nranks: int = 1) -> list[HeaderHandle]:
 
 
 def read_full_header(handle: HeaderHandle) -> dict:
-    """Decode every block; returns the (kind, full name) -> payload map."""
+    """Every block's map, merged: the (kind, full name) -> payload map."""
     out = {}
     for entry in handle.index_table.entries:
-        _add_payloads(out, handle._content(entry.block_path), entry.block_path)
+        out.update(handle._load_block(entry.block_path))
     return out
 
 

@@ -16,6 +16,7 @@ from parahead.classic import (
     Header,
     TypeTag,
     VariableDef,
+    align_up,
     decode_classic,
     encode_classic,
     encoded_size,
@@ -35,14 +36,23 @@ from parahead.newformat import (
     IndexEntry,
     IndexTable,
     MetadataBlock,
+    assemble_image,
     decode_block,
+    decode_image,
     decode_index_table,
     encode_block,
     encode_index_table,
+    index_table_encoded_size,
 )
 from parahead.records import AttPayload, DimPayload, ObjectKind, VarPayload, encode_record
 from parahead.store import RankStore
-from parahead.strategies import run_lib_baseline, run_new_format
+from parahead.strategies import (
+    _add_payloads,
+    open_new_format,
+    read_full_header,
+    run_lib_baseline,
+    run_new_format,
+)
 from parahead.workload import Definition, Workload, WorkloadSpec, gen_workload, spec_for_dataset
 
 from test_records import typed_values
@@ -132,6 +142,15 @@ def test_block_encode_inverts_decode(path, content):
     assert encode_block(decode_block(raw)) == raw
 
 
+@settings(max_examples=150, deadline=None)
+@given(path=block_paths, content=headers(5, local=True))
+def test_lazy_block_map_equals_the_decoded_blocks_objects(path, content):
+    # the lazy reader builds its map from the block's bytes, not from decode_block
+    block = MetadataBlock(path, content)
+    expected = _add_payloads({}, decode_block(encode_block(block)).content, path)
+    assert read_full_header(open_new_format(assemble_image([block]))[0]) == expected
+
+
 # --- mutated images of the benchmark-shaped workloads ---------------------------
 
 
@@ -168,12 +187,38 @@ def shared_blocks_workload(own_blocks: int = 6, shared_blocks: int = 3) -> Workl
     return Workload(WorkloadSpec(total_vars=0, total_dims=0, nranks=4), per_rank)
 
 
-def images(workload: Workload) -> tuple[bytes, list[bytes]]:
-    """The classic image and the raw blocks of the new_format image."""
+def images(workload: Workload) -> tuple[bytes, list[tuple[IndexEntry, bytes]]]:
+    """The classic image and the index entries and raw blocks of the new_format image."""
     classic = run_lib_baseline(workload, 1024).image.to_bytes()
     new = run_new_format(workload, 1024).image.to_bytes()
-    blocks = [new[e.offset : e.offset + e.size] for e in decode_index_table(new).entries]
+    blocks = [(e, new[e.offset : e.offset + e.size]) for e in decode_index_table(new).entries]
     return classic, blocks
+
+
+def one_block_image(entry: IndexEntry, raw: bytes) -> bytes:
+    """A partitioned image of the one block ``raw``, indexed as ``entry`` but
+    for its offset and size."""
+    offset = align_up(index_table_encoded_size([entry.block_path]), 4)
+    index = encode_index_table(
+        IndexTable((entry._replace(offset=offset, size=len(raw)),), offset + len(raw))
+    )
+    return index + bytes(offset - len(index)) + raw
+
+
+def image_map(image: bytes) -> dict:
+    """The objects of a partitioned image as ``decode_image`` reads them."""
+    out = {}
+    for path, block in decode_image(image)[1].items():
+        _add_payloads(out, block.content, path)
+    return out
+
+
+def outcome(read, image: bytes):
+    """What ``read(image)`` returns, or the class of the ParaheadError it raises."""
+    try:
+        return read(image)
+    except ParaheadError as exc:
+        return type(exc)
 
 
 def mutate(rand: random.Random, raw: bytes) -> bytes:
@@ -193,11 +238,18 @@ def test_mutated_lists_raise_only_parahead_errors(build):
     rand = random.Random(11)
     rejected = 0
     for _ in range(300):
-        for decode, raw in ((decode_classic, classic), (decode_block, rand.choice(blocks))):
+        entry, block = rand.choice(blocks)
+        for decode, raw in ((decode_classic, classic), (decode_block, block)):
+            mutated = mutate(rand, raw)
             try:
-                decode(mutate(rand, raw))
+                decode(mutated)
             except ParaheadError:
                 rejected += 1
+        # decode_image and the lazy reader check a block alike: the same
+        # objects, or the same ParaheadError subclass
+        image = one_block_image(entry, mutated)
+        lazy = outcome(lambda b: read_full_header(open_new_format(b)[0]), image)
+        assert outcome(image_map, image) == lazy
     assert rejected > 300  # most mutations are caught
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import random
 
 import pytest
@@ -620,6 +621,25 @@ def test_full_read_reads_each_block_once(build):
         handle.lookup(d.kind, d.full_name)
     assert read_full_header(handle) == expected
     assert handle.io_bytes_read == every_block
+
+
+@pytest.mark.parametrize("build", [blocked_workload, shared_blocks_workload])
+def test_cached_block_maps_keep_no_key_tracked(build):
+    # the handle keeps only its block maps, keyed (int kind, full name): the
+    # collector drops such a key from its scans at the first collection
+    workload = build()
+    classic = decode_classic(run_lib_baseline(workload, 1024).image.to_bytes())
+    image = run_new_format(workload, 1024).image.to_bytes()
+    handle = open_new_format(image)[0]
+    objects = read_full_header(handle)
+    assert objects == logical_map_from_classic(classic)
+    for d in (workload.per_rank[0][0], workload.per_rank[-1][-1]):  # ObjectKind still looks up
+        assert handle.lookup(d.kind, d.full_name) == d.payload
+        assert handle.gid_of(d.kind, d.full_name) == handle.gid_of(int(d.kind), d.full_name)
+    gc.collect()
+    keys = [key for block_map in handle._maps.values() for key in block_map]
+    assert not any(map(gc.is_tracked, keys))
+    assert len(keys) == len(objects) and handle.blocks_loaded == len(handle.index_table.entries)
 
 
 def test_lazy_block_loading_and_caching():
