@@ -10,6 +10,7 @@ The on-disk layout is::
     attr     = name  nc_type(4)  COUNT  values  pad4
     var      = name  COUNT  dimids  vatt_list  nc_type(4)  VSIZE  BEGIN
     name     = COUNT  bytes  pad4
+    pad4     = zero bytes up to a multiple of 4 (``-n & 3`` of them after n bytes)
 
 All integers are big-endian.  COUNT and VSIZE are 4 bytes wide for versions
 1 and 2 and 8 bytes for version 5; BEGIN is 4 bytes for version 1 and
@@ -57,30 +58,22 @@ class TypeTag(IntEnum):
 
     @property
     def itemsize(self) -> int:
-        return _ITEM_SIZES[self]
+        return TYPES[self][1]
 
     @property
-    def struct_char(self) -> str:
-        return _STRUCT_CHARS[self]
+    def struct_char(self) -> str | None:
+        return TYPES[self][2]
 
 
-_ITEM_SIZES = {
-    TypeTag.BYTE: 1,
-    TypeTag.CHAR: 1,
-    TypeTag.SHORT: 2,
-    TypeTag.INT: 4,
-    TypeTag.FLOAT: 4,
-    TypeTag.DOUBLE: 8,
-    TypeTag.INT64: 8,
-}
-
-_STRUCT_CHARS = {
-    TypeTag.BYTE: "b",
-    TypeTag.SHORT: "h",
-    TypeTag.INT: "i",
-    TypeTag.FLOAT: "f",
-    TypeTag.DOUBLE: "d",
-    TypeTag.INT64: "q",
+# type tag value -> (tag, item size, struct code); CHAR values stay bytes
+TYPES = {
+    1: (TypeTag.BYTE, 1, "b"),
+    2: (TypeTag.CHAR, 1, None),
+    3: (TypeTag.SHORT, 2, "h"),
+    4: (TypeTag.INT, 4, "i"),
+    5: (TypeTag.FLOAT, 4, "f"),
+    6: (TypeTag.DOUBLE, 8, "d"),
+    10: (TypeTag.INT64, 8, "q"),
 }
 
 
@@ -126,11 +119,6 @@ class Header:
     vars: tuple[VariableDef, ...] = ()
 
 
-def pad4(n: int) -> int:
-    """Zero bytes that pad ``n`` bytes to a multiple of four."""
-    return -n & 3
-
-
 def align_up(n: int, align: int) -> int:
     """``n`` rounded up to a multiple of ``align``."""
     return (n + align - 1) // align * align
@@ -143,10 +131,6 @@ _WIDTHS = {
     1: (_S(">I"), _S(">II"), _S(">III"), "I", 2**31 - 1, 2**31 - 1),
     2: (_S(">I"), _S(">II"), _S(">IIQ"), "I", 2**31 - 1, 2**63 - 1),
     5: (_S(">Q"), _S(">IQ"), _S(">IQQ"), "Q", 2**63 - 1, 2**63 - 1),
-}
-# type tag value -> (tag, item size, struct code); CHAR values stay bytes
-TYPES = {
-    int(t): (t, t.itemsize, None if t is TypeTag.CHAR else t.struct_char) for t in TypeTag
 }
 # magic, version byte and numrecs (always 0): what a header holds before its lists
 _CLASSIC_HEADS = {v: MAGIC_PREFIX + bytes([v]) + _WIDTHS[v][0].pack(0) for v in SUPPORTED_VERSIONS}
@@ -172,19 +156,25 @@ def var_size_bytes(dim_lengths: tuple[int, ...], type_tag: TypeTag) -> int:
     for length in dim_lengths:
         n *= length
     raw = n * type_tag.itemsize
-    return raw + pad4(raw)
+    return raw + (-raw & 3)
 
 
 def _owned(what: str, name: str, owner: str | None) -> str:
     return f"{what} {name!r}" if owner is None else f"{what} {name!r} of {owner!r}"
 
 
-def _check_regions(vars_) -> None:
-    """Raise CorruptHeader if the data regions of two variables overlap."""
-    regions = sorted((v.begin, v.begin + v.vsize, v.name) for v in vars_)
+def _check_regions(vars_, regions=None, error=CorruptHeader, what="data regions of") -> list:
+    """Raise ``error`` if two regions overlap: the data regions of ``vars_``,
+    or ``regions``, ``(start, end, name)`` triples.  Returns the regions in
+    start order, sorted only if their starts do not ascend."""
+    if regions is None:
+        regions = [(v.begin, v.begin + v.vsize, v.name) for v in vars_]
+    if any(a[0] >= b[0] for a, b in zip(regions, regions[1:])):
+        regions = sorted(regions)
     for (_, end_a, name_a), (start_b, _, name_b) in zip(regions, regions[1:]):
         if start_b < end_a:
-            raise CorruptHeader(f"data regions of {name_a!r} and {name_b!r} overlap")
+            raise error(f"{what} {name_a!r} and {name_b!r} overlap")
+    return regions
 
 
 # --- encoding ------------------------------------------------------------------

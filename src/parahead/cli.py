@@ -15,7 +15,9 @@ import os
 import sys
 from dataclasses import replace
 
-from .classic import DEFAULT_ALIGN, Header, align_up, decode_classic, encode_classic, encoded_size
+from .classic import (
+    DEFAULT_ALIGN, MAGIC_PREFIX, Header, align_up, decode_classic, encode_classic, encoded_size,
+)
 from .comm import MAX_THREAD_RANKS
 from .errors import NameWidthOverflow, ParaheadError
 from .newformat import assemble_image, decode_image
@@ -224,9 +226,8 @@ def cmd_gen(args) -> int:
 def cmd_inspect(args) -> int:
     with open(args.path, "rb") as fh:
         magic = fh.read(4)
-    if magic[:3] == b"CDF":
-        with open(args.path, "rb") as fh:
-            header = decode_classic(fh.read())
+        header = decode_classic(magic + fh.read()) if magic[:3] == MAGIC_PREFIX else None
+    if header is not None:
         print(f"{args.path}: classic header (version {magic[3]})")
         print(f"  dimensions: {len(header.dims)}")
         print(f"  global attributes: {len(header.global_atts)}")

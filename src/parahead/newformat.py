@@ -25,9 +25,9 @@ from .classic import (
     DEFAULT_ALIGN,
     VALUE_ERRORS,
     Header,
+    _check_regions,
     align_up,
     decode_header_lists,
-    pad4,
     validate_name,
 )
 from .errors import (
@@ -40,7 +40,7 @@ from .errors import (
     UnrepresentableValue,
     UnsortedIndex,
 )
-from .records import ObjectKind, RecordLists, header_lists, record_lists
+from .records import ObjectKind, RecordLists, _name_record, header_lists, record_lists
 
 INDEX_MAGIC = b"CDH\x01"
 
@@ -87,20 +87,18 @@ def split_full_name(full_name: str) -> tuple[str, str]:
 
 
 def _pack_path(path: str) -> bytes:
-    if path:  # '' is the root block
-        validate_name(path)
-    raw = path.encode("ascii")
-    return _U64.pack(len(raw)) + raw + b"\x00" * pad4(len(raw))
+    """A block or index path as a version-5 classic name; '' is the root block."""
+    return _name_record(path, _U64, 2**63 - 1) if path else bytes(8)
 
 
 def _path_record_size(path: str) -> int:
-    return 8 + len(path) + pad4(len(path))
+    return 8 + len(path) + (-len(path) & 3)
 
 
 def _path_at(buf: bytes, pos: int, path_len: int, what: str) -> str:
     """The path of ``path_len`` bytes at ``pos``, checked: zero padding, ASCII, a name."""
     stop = pos + path_len
-    if buf[stop : stop + pad4(path_len)].strip(b"\x00"):
+    if buf[stop : stop + (-path_len & 3)].strip(b"\x00"):
         raise CorruptHeader("non-zero block path padding")
     try:
         path = buf[pos:stop].decode("ascii")
@@ -125,13 +123,9 @@ def _check_table(entries, index_end: int) -> None:
             raise DuplicateName("duplicate block path in index table")
         raise UnsortedIndex("index entries not sorted by block path")
     regions = [(e.offset, e.offset + e.size, e.block_path) for e in entries]
-    if any(a[0] >= b[0] for a, b in zip(regions, regions[1:])):
-        regions.sort()
+    regions = _check_regions((), regions, OverlappingBlocks, "blocks")
     if regions and regions[0][0] < index_end:
         raise OverlappingBlocks(f"block {regions[0][2]!r} overlaps the index table")
-    for (_, end_a, path_a), (start_b, _, path_b) in zip(regions, regions[1:]):
-        if start_b < end_a:
-            raise OverlappingBlocks(f"blocks {path_a!r} and {path_b!r} overlap")
 
 
 def encode_index_table(table: IndexTable) -> bytes:
@@ -230,7 +224,7 @@ def _read_block(buf: bytes, entry=None, *builders) -> tuple[str, tuple, tuple, t
     if len(buf) < 8:
         raise Truncated("block path length missing")
     (path_len,) = _U64.unpack_from(buf, 0)
-    lists = 8 + path_len + pad4(path_len)
+    lists = 8 + path_len + (-path_len & 3)
     if len(buf) < lists:
         raise Truncated("block path cut short")
     path = _path_at(buf, 8, path_len, "block")

@@ -104,9 +104,8 @@ def _pack_name(name: str) -> bytes:
 
 
 def _pack_att_body(type_tag: TypeTag, values) -> bytes:
-    raw = pack_values(type_tag, values)
-    nelems = len(raw) // type_tag.itemsize
-    return struct.pack(">II", int(type_tag), nelems) + raw
+    raw = pack_values(type_tag, values)  # fails unless type_tag is a TypeTag
+    return _U32X2.pack(type_tag, len(raw) // TYPES[type_tag][1]) + raw
 
 
 def encode_record(kind: ObjectKind, full_name: str, payload: Payload) -> bytes:
@@ -428,10 +427,30 @@ def classic_from_records(records) -> bytes:
     return lists.place(align_up(lists.facts[0], DEFAULT_ALIGN))
 
 
+def header_objects(header: Header, path: str = ""):
+    """``(ObjectKind, full name, payload)`` of each object of ``header``, in
+    list order, named ``path/name`` (``name`` with no path).  A dimension id
+    outside the header raises DanglingDimRef."""
+    prefix = f"{path}/" if path else ""
+    dim_names = []
+    for dim in header.dims:
+        dim_names.append(prefix + dim.name)
+        yield ObjectKind.DIMENSION, dim_names[-1], DimPayload(dim.length)
+    for att in header.global_atts:
+        yield ObjectKind.ATTRIBUTE, prefix + att.name, AttPayload(att.type_tag, att.values)
+    for var in header.vars:
+        name = prefix + var.name
+        for ref in var.dim_refs:
+            if not 0 <= ref < len(dim_names):
+                raise DanglingDimRef(f"variable {name!r} references dim {ref}")
+        refs = tuple(dim_names[ref] for ref in var.dim_refs)
+        yield ObjectKind.VARIABLE, name, VarPayload(var.type_tag, refs, var.attributes)
+
+
 def header_lists(header: Header, head: bytes, version: int, path: str = "") -> bytes:
     """``head`` and the object lists of ``header``, which :func:`record_lists`
-    writes from its objects as records named ``path/name`` (``name`` with no
-    path); each variable's data stays at its own ``begin``.
+    writes from its :func:`header_objects` as records; each variable's data
+    stays at its own ``begin``.
 
     What a record cannot carry is checked here: dimension ids in range
     (``DanglingDimRef``) and dimension lengths of at least 1
@@ -440,25 +459,12 @@ def header_lists(header: Header, head: bytes, version: int, path: str = "") -> b
     (``CorruptHeader``).  A value no record can hold raises what
     :func:`encode_record` raises.
     """
-    prefix = f"{path}/" if path else ""
     records = []
-    dim_names = []
-    for dim in header.dims:
-        if dim.length < 1:
-            raise UnsupportedFeature(f"dimension {dim.name!r} has length {dim.length}")
-        dim_names.append(prefix + dim.name)
-        records.append(encode_record(ObjectKind.DIMENSION, dim_names[-1], DimPayload(dim.length)))
-    for att in header.global_atts:
-        payload = AttPayload(att.type_tag, att.values)
-        records.append(encode_record(ObjectKind.ATTRIBUTE, prefix + att.name, payload))
-    for var in header.vars:
-        for ref in var.dim_refs:
-            if not 0 <= ref < len(dim_names):
-                raise DanglingDimRef(f"variable {var.name!r} references dim {ref}")
-        refs = tuple(dim_names[ref] for ref in var.dim_refs)
-        payload = VarPayload(var.type_tag, refs, var.attributes)
-        records.append(encode_record(ObjectKind.VARIABLE, prefix + var.name, payload))
-    lists = record_lists(records, head, len(prefix), version)
+    for kind, name, payload in header_objects(header, path):
+        if kind is ObjectKind.DIMENSION and payload.length < 1:
+            raise UnsupportedFeature(f"dimension {name!r} has length {payload.length}")
+        records.append(encode_record(kind, name, payload))
+    lists = record_lists(records, head, len(path) + 1 if path else 0, version)
     for var, (_, _, vsize) in zip(header.vars, lists.tails):
         if var.vsize != vsize:
             raise CorruptHeader(f"variable {var.name!r} vsize {var.vsize}, expected {vsize}")

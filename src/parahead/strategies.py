@@ -32,6 +32,7 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 
 from .classic import (
+    MAGIC_PREFIX,
     AttributeDef,
     DimensionDef,
     Header,
@@ -81,6 +82,7 @@ from .records import (
     classic_from_records,
     decode_record,  # noqa: F401
     encode_record,
+    header_objects,
     pack_stream,
     unpack_stream,
 )
@@ -635,18 +637,12 @@ def read_full_header(handle: HeaderHandle) -> dict:
 
 def _add_payloads(out: dict, header: Header, path: str = "") -> dict:
     """Add (kind, full name) -> payload for every object of a decoded header,
-    block ``path``'s content or a flat header, to ``out``."""
-    prefix = f"{path}/" if path else ""
-    dim_names = [prefix + d.name for d in header.dims]
-    for name, dim in zip(dim_names, header.dims):
-        out[(ObjectKind.DIMENSION, name)] = DimPayload(dim.length)
-    for att in header.global_atts:
-        out[(ObjectKind.ATTRIBUTE, prefix + att.name)] = AttPayload(att.type_tag, att.values)
-    for var in header.vars:
-        refs = tuple(dim_names[r] for r in var.dim_refs)
-        out[(ObjectKind.VARIABLE, prefix + var.name)] = VarPayload(
-            var.type_tag, refs, var.attributes
-        )
+    block ``path``'s content or a flat header, to ``out``: a full name
+    already there raises DuplicateName, a dimension id outside the header
+    DanglingDimRef."""
+    for kind, name, payload in header_objects(header, path):
+        if out.setdefault((kind, name), payload) is not payload:
+            raise DuplicateName(f"{kind.name.lower()} {name!r} is defined twice")
     return out
 
 
@@ -657,25 +653,13 @@ def logical_map_from_classic(header: Header) -> dict:
 
 def logical_map_from_image(image_bytes: bytes) -> dict:
     """Dispatch on the magic and build the logical object map either way."""
-    if image_bytes[:3] == b"CDF":
+    if image_bytes[:3] == MAGIC_PREFIX:
         return logical_map_from_classic(decode_classic(image_bytes))
     handle = open_new_format(image_bytes)[0]
     return read_full_header(handle)
 
 
 # --- block <-> flat mapping (convert) ------------------------------------------
-
-
-def _add_checked(out: dict, content: Header, path: str = "") -> dict:
-    """``_add_payloads`` that fails closed: a dimension id outside ``content``'s
-    dimensions raises DanglingDimRef, a full name already in ``out`` DuplicateName."""
-    for var in content.vars:
-        if not all(0 <= r < len(content.dims) for r in var.dim_refs):
-            raise DanglingDimRef(f"variable {var.name!r} in {path!r}: dimension id out of range")
-    count = len(out) + len(content.dims) + len(content.global_atts) + len(content.vars)
-    if len(_add_payloads(out, content, path)) != count:
-        raise DuplicateName(f"a full name in {path!r} is not unique")
-    return out
 
 
 def _placed(content: Header, path: str, source: dict) -> Header:
@@ -695,7 +679,7 @@ def flatten_blocks(blocks) -> Header:
     source = {}
     for block in sorted(blocks, key=lambda b: b.block_path):
         path, content = block.block_path, block.content
-        _add_checked(objects, content, path)
+        _add_payloads(objects, content, path)
         prefix = f"{path}/" if path else ""
         source.update((prefix + v.name, v) for v in content.vars)
     flat = build_classic_header((kind, name, p) for (kind, name), p in objects.items())
@@ -707,7 +691,7 @@ def partition_header(header: Header) -> list[MetadataBlock]:
     names land in the reserved root block.  A variable over another block's
     dimension raises DanglingDimRef."""
     grouped: dict[str, list] = {}
-    for (kind, name), payload in _add_checked({}, header).items():
+    for (kind, name), payload in _add_payloads({}, header).items():
         grouped.setdefault(split_full_name(name)[0], []).append((kind, name, payload))
     source = {v.name: v for v in header.vars}
     return [

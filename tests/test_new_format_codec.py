@@ -388,16 +388,20 @@ def test_mapping_rejects_dimension_ids_outside_the_header(ref):
     )
     with pytest.raises(DanglingDimRef):
         partition_header(flat)
+    with pytest.raises(DanglingDimRef, match="'a/v'"):
+        logical_map_from_classic(flat)
     block = Header(
         (DimensionDef("x", 2), DimensionDef("y", 3)), (), (VariableDef("v", (ref,), TypeTag.INT),)
     )
-    with pytest.raises(DanglingDimRef):
+    with pytest.raises(DanglingDimRef, match="'a/v'"):  # the full name, not 'v'
         flatten_blocks([MetadataBlock("a", block)])
 
 
 def test_mapping_rejects_a_repeated_full_name():
     with pytest.raises(DuplicateName):
         partition_header(Header((DimensionDef("a/x", 2), DimensionDef("a/x", 3))))
+    with pytest.raises(DuplicateName):
+        logical_map_from_classic(Header((DimensionDef("x", 2), DimensionDef("x", 3))))
     root = MetadataBlock("", Header((DimensionDef("a/x", 2),)))  # a local name with '/'
     with pytest.raises(DuplicateName):
         flatten_blocks([root, MetadataBlock("a", Header((DimensionDef("x", 2),)))])
